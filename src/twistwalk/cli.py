@@ -132,12 +132,11 @@ def _ensemble_csv(path: Path, ens, sha: str, run_header: dict) -> None:
         R = ens.replicas_done
         for n in ens.checkpoints:
             m = ens.moment_sums[n]
-            row = [str(n), repr(ens.rotation[n]), repr(m[0] / R), repr(m[1] / R), repr(m[2] / R)]
+            vals = [ens.rotation[n], m[0] / R, m[1] / R, m[2] / R]
             for j, _ in enumerate(etas):
-                row.append(repr(ens.scaled_counts[n][j] / R))
-                row.append(repr(ens.unscaled_counts[n][j] / R))
-                row.append(repr(ens.return_count_sums[n][j] / R))
-            fh.write(",".join(row) + "\n")
+                vals += [ens.scaled_counts[n][j] / R, ens.unscaled_counts[n][j] / R,
+                         ens.return_count_sums[n][j] / R]
+            fh.write(",".join([str(n)] + [repr(float(v)) for v in vals]) + "\n")
 
 
 def _smallball_csv(path: Path, ens, report: dict, sha: str) -> None:
@@ -150,7 +149,7 @@ def _smallball_csv(path: Path, ens, report: dict, sha: str) -> None:
         R = ens.replicas_done
         for n in ens.checkpoints:
             for j, e in enumerate(ens.eta_grid):
-                p = ens.scaled_counts[n][j] / R
+                p = float(ens.scaled_counts[n][j] / R)
                 se = math.sqrt(max(p * (1 - p), 0.0) / R)
                 t, _ = tau(ens, n, e)
                 ce = c_hat.get(e, c_hat.get(float(e), {})).get("c_hat", float("nan"))

@@ -187,9 +187,10 @@ def recurrence_constant(table: SmallBallTable, eta_grid=None, n_window=None,
 
 
 def _z_for(significance: float) -> float:
-    from scipy.stats import norm
+    """Upper-tail standard normal quantile: P(Z > z) = significance."""
+    from statistics import NormalDist
 
-    return float(norm.isf(significance))
+    return -NormalDist().inv_cdf(significance)
 
 
 # ---------------------------------------------------------------------------

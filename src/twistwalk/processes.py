@@ -21,6 +21,12 @@ Streams are bit-reproducible: (spec, seed, replica) fully determines the
 emitted sequence, independent of how it is chunked into ``take`` calls.
 Replica streams use a counter-based generator keyed by (seed, replica), so
 ensembles can be generated in any batch decomposition.
+
+A batch state's ``emit(count)`` returns a ``(replicas, count)`` array whose
+row r is the next ``count`` values of replica r.  The result may be a
+transposed view of a time-major buffer (Markov chains and rotations step
+all replicas at once, so the walk's per-step column read is contiguous);
+callers must not assume C order or write into it.
 """
 
 from __future__ import annotations
@@ -295,14 +301,16 @@ class _IIDState:
         law, var = self.spec.law, self.spec.variance
         real = law == "rademacher"
         out = np.empty((len(self.gens), count), dtype=float if real else complex)
+        pairs = out.view(float)  # a row's (re, im) pairs, in draw order
         for i, g in enumerate(self.gens):
             if law == "complex-gaussian":
-                z = g.standard_normal((count, 2))
-                out[i] = (z[:, 0] + 1j * z[:, 1]) * math.sqrt(var / 2.0)
-            elif law == "rademacher":
+                g.standard_normal(out=pairs[i])
+            elif real:
                 out[i] = 2.0 * g.integers(0, 2, count) - 1.0
             else:  # uniform-circle
                 out[i] = np.exp(1j * TWO_PI * g.random(count))
+        if law == "complex-gaussian":
+            pairs *= math.sqrt(var / 2.0)
         return out
 
 
@@ -319,7 +327,7 @@ class _MAState:
         full = np.empty((len(self.gens), q + count))
         full[:, :q] = self.tail
         for i, g in enumerate(self.gens):
-            full[i, q:] = g.standard_normal(count)
+            g.standard_normal(out=full[i, q:])
         out = np.zeros((len(self.gens), count), dtype=float if self.real else complex)
         for j, c in enumerate(self.spec.coeffs):
             view = full[:, q - j : q - j + count]
@@ -344,15 +352,23 @@ class _MarkovState:
         B = len(self.gens)
         u = np.empty((B, count))
         for i, g in enumerate(self.gens):
-            u[i] = g.random(count)
-        out = np.empty((B, count), dtype=self.emitted.dtype)
+            g.random(out=u[i])
+        u = np.ascontiguousarray(u.T)
+        out = np.empty((count, B), dtype=self.emitted.dtype)
+        # the next state counts the CDF columns below u; a CDF row never
+        # decreases, so counting all S columns and clipping to S-1 is the
+        # same as counting the first S-1
+        cols = list(self.cum.T[:-1])
         s = self.states
-        nmax = self.spec.n_states - 1
         for t in range(count):
-            s = np.minimum((u[:, t, None] > self.cum[s]).sum(axis=1), nmax)
-            out[:, t] = self.emitted[s]
+            ut = u[t]
+            nxt = np.zeros(B, dtype=np.intp)
+            for col in cols:
+                nxt += ut > col[s]
+            s = nxt
+            out[t] = self.emitted[s]
         self.states = s
-        return out
+        return out.T
 
 
 class _SpectralEmbedding:
@@ -456,14 +472,16 @@ class _RotationState:
 
     def emit(self, count: int) -> np.ndarray:
         ks = np.arange(self.pos, self.pos + count)
-        out = np.zeros((len(self.theta0), count), dtype=complex)
+        out = np.zeros((count, len(self.theta0)), dtype=complex)
         for j, c in self.spec.fourier:
-            # e^{ij(theta0 + k alpha)} factors into an outer product
-            phase0 = np.exp(1j * j * self.theta0)
+            # e^{ij(theta0 + k alpha)} factors into an outer product; numpy's
+            # complex multiply is not bitwise commutative, so the replica
+            # factor stays the left operand
+            phase0 = c * np.exp(1j * j * self.theta0)
             phasek = np.exp(1j * j * self.spec.alpha * ks)
-            out += c * phase0[:, None] * phasek[None, :]
+            out += phase0[None, :] * phasek[:, None]
         self.pos += count
-        return out
+        return out.T
 
 
 def _batch_state(spec, gens, embedding=None):

@@ -40,6 +40,11 @@ ECF_POINTS_PER_RAY = 32
 ECF_TMAX = 4.0
 ECF_M_MAX = 8
 
+#: the step loop keeps positions for about BLOCK_VALUES replica-steps, and
+#: at most BLOCK_STEPS steps, before reducing them
+BLOCK_VALUES = 1 << 16
+BLOCK_STEPS = 256
+
 
 class ResourceCapError(RuntimeError):
     """replicas * n_max exceeds the configured resource cap."""
@@ -127,7 +132,9 @@ class WalkConfig:
         if self.dense_counts is None:
             self.dense_counts = self.n_max <= 4096
         if self.record_raw is None:
-            need = 16 * self.replicas * len(self.checkpoints)
+            # a complex sample and an int32 return count per radius, per
+            # replica and checkpoint, held twice while merge concatenates
+            need = 2 * (16 + 4 * len(etas)) * self.replicas * len(self.checkpoints)
             self.record_raw = need <= self.raw_cap_bytes
         if self.ecf_tgrid is None:
             self.ecf_tgrid = structured_ecf_tgrid(self.beta.value)
@@ -235,61 +242,72 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
     B = hi - lo
     acc = _BatchAccumulator(cfg, B)
     eta2 = np.asarray(cfg.eta_grid, dtype=float) ** 2
-    E = eta2.size
     c = complex(math.cos(cfg.beta.value), math.sin(cfg.beta.value))
+    checkpoints = cfg.checkpoints + (cfg.n_max + 1,)  # sentinel past the run
 
     S = np.zeros(B, dtype=complex)
-    returns = np.zeros((B, E), dtype=np.int32)
-    cp_iter = iter(enumerate(cfg.checkpoints))
-    ci, next_cp = next(cp_iter)
+    returns = np.zeros((eta2.size, B), dtype=np.int32)  # one row per radius
+    # positions are written step by step into a time-major block; the ball
+    # counts then run once per block instead of once per step
+    block = np.empty((min(BLOCK_STEPS, max(1, BLOCK_VALUES // B)), B), dtype=complex)
+    if acc.ecf_sums is not None:
+        # phase buffers reused at every checkpoint: fresh multi-megabyte
+        # temporaries each time cost more in page faults than the exp itself
+        t_grid = cfg.ecf_tgrid
+        arg = np.empty((B, t_grid.size))
+        ph = np.empty((B, t_grid.size), dtype=complex)
+    ci = 0
 
     # time-chunked generation; chunk size only bounds the increment buffer
     chunk = max(256, min(4096, (1 << 23) // max(B, 1)))
     n = 0
     while n < cfg.n_max:
         count = min(chunk, cfg.n_max - n)
-        X = state.emit(count)
-        for t in range(count):
-            S *= c
-            S += X[:, t]
-            n += 1
-            a2 = S.real * S.real + S.imag * S.imag
-            hits = a2[:, None] <= eta2[None, :]
-            returns += hits
-            if acc.dense_unscaled is not None:
-                acc.dense_unscaled[n] += hits.sum(axis=0)
-                acc.dense_scaled[n] += (a2[:, None] <= n * eta2[None, :]).sum(axis=0)
-            if n == next_cp:
-                rn = math.sqrt(n)
-                scaled = S / rn
-                sa2 = a2 / n
-                acc.scaled_counts[ci] += (sa2[:, None] <= eta2[None, :]).sum(axis=0)
-                acc.unscaled_counts[ci] += hits.sum(axis=0)
-                acc.return_count_sums[ci] += returns.sum(axis=0, dtype=np.int64)
-                acc.moment_sums[ci] += (
-                    scaled.real.sum(),
-                    scaled.imag.sum(),
-                    sa2.sum(),
-                    (sa2 * sa2).sum(),
-                )
-                acc.max_abs[ci] = max(acc.max_abs[ci], float(np.sqrt(a2.max())))
-                if acc.samples is not None:
-                    acc.samples[next_cp] = scaled.copy()
-                    acc.return_snapshots[next_cp] = returns.copy()
-                if acc.ecf_sums is not None:
-                    t_grid = cfg.ecf_tgrid
-                    ph = np.exp(
-                        1j
-                        * (
-                            np.outer(scaled.real, t_grid.real)
-                            + np.outer(scaled.imag, t_grid.imag)
-                        )
-                    )
-                    acc.ecf_sums[ci] += ph.sum(axis=0)
-                try:
-                    ci, next_cp = next(cp_iter)
-                except StopIteration:
-                    next_cp = -1
+        X = state.emit(count).T
+        t = 0
+        while t < count:
+            # blocks end at the chunk's end and at the next checkpoint
+            L = min(len(block), count - t, checkpoints[ci] - n)
+            P = block[:L]
+            for i in range(L):
+                S *= c
+                S += X[t + i]
+                P[i] = S
+            a2 = P.real * P.real + P.imag * P.imag
+            ns = np.arange(n + 1, n + L + 1, dtype=float)
+            for e, r2 in enumerate(eta2):
+                hits = a2 <= r2
+                returns[e] += hits.sum(axis=0, dtype=np.int32)
+                if acc.dense_unscaled is not None:
+                    acc.dense_unscaled[n + 1 : n + L + 1, e] = np.count_nonzero(hits, axis=1)
+                    acc.dense_scaled[n + 1 : n + L + 1, e] = np.count_nonzero(
+                        a2 <= (ns * r2)[:, None], axis=1)
+            n += L
+            t += L
+            if n != checkpoints[ci]:
+                continue
+            a2 = a2[-1]
+            scaled = S / math.sqrt(n)
+            sa2 = a2 / n
+            acc.scaled_counts[ci] += (sa2[:, None] <= eta2[None, :]).sum(axis=0)
+            acc.unscaled_counts[ci] += (a2[:, None] <= eta2[None, :]).sum(axis=0)
+            acc.return_count_sums[ci] += returns.sum(axis=1, dtype=np.int64)
+            acc.moment_sums[ci] += (
+                scaled.real.sum(),
+                scaled.imag.sum(),
+                sa2.sum(),
+                (sa2 * sa2).sum(),
+            )
+            acc.max_abs[ci] = max(acc.max_abs[ci], float(np.sqrt(a2.max())))
+            if acc.samples is not None:
+                acc.samples[n] = scaled
+                acc.return_snapshots[n] = returns.T.copy()
+            if acc.ecf_sums is not None:
+                np.outer(scaled.real, t_grid.real, out=arg)
+                arg += np.outer(scaled.imag, t_grid.imag, out=ph.real)  # ph as scratch
+                np.multiply(1j, arg, out=ph)
+                acc.ecf_sums[ci] += np.exp(ph, out=ph).sum(axis=0)
+            ci += 1
     return acc
 
 

@@ -68,6 +68,24 @@ class TestSimulateCommand:
         assert report["run"]["replicas"] == 400
         assert report["label"] in ("recurrence-evidence", "transience-evidence", "inconclusive")
 
+    def test_csv_cells_are_numbers(self, tmp_path):
+        out = tmp_path / "csv"
+        rc = main([
+            "simulate", "--process", "golden-mean-parry", "--beta", "1.0",
+            "--n-max", "64", "--replicas", "50", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        for csv in ("ensemble.csv", "smallball.csv"):
+            lines = [ln for ln in (out / csv).read_text().splitlines()
+                     if not ln.startswith("#")]
+            header, rows = lines[0].split(","), lines[1:]
+            assert rows
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(header)
+                for cell in cells:
+                    float(cell)
+
     def test_documented_invocation_recurrence(self, tmp_path):
         out = tmp_path / "doc"
         rc = main([

@@ -147,6 +147,11 @@ class TestTau:
 
 
 class TestRecurrenceConstant:
+    def test_one_sided_normal_quantile(self):
+        from twistwalk.diagnostics import _z_for
+
+        assert _z_for(1e-3) == 3.090232306167813
+
     def test_gaussian_limit_constants(self, gaussian_walk):
         table = SmallBallTable.from_ensemble(gaussian_walk)
         c = recurrence_constant(table, n_window=[256, 1024])

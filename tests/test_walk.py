@@ -60,6 +60,16 @@ class TestConfig:
         assert cfg.rotation_fraction(3) == (6 % 5, 5)
         assert cfg.rotation_coordinate(5) == 0.0
 
+    def test_raw_mode_sized_with_snapshots_and_merge_copy(self):
+        # 12 checkpoints of a 16-byte sample and five 4-byte return counts
+        # per replica, held twice at merge: 864000 bytes against 208000
+        R = 1000
+        cfg = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=16 * R * 13)
+        assert len(cfg.checkpoints) == 12
+        assert not cfg.record_raw
+        big = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=2 * 36 * R * 12)
+        assert big.record_raw
+
     def test_resource_cap(self):
         cfg = WalkConfig(beta=0.1, n_max=1 << 20, replicas=1 << 12, resource_cap=1 << 30)
         with pytest.raises(ResourceCapError):
