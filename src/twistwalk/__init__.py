@@ -31,7 +31,6 @@ from .processes import (
     StreamExhausted,
     covariance,
     covariance_sequence,
-    gaussian_from_spectral,
     golden_mean_spec,
     make_stream,
     mixing_covariance_bound_check,
@@ -57,7 +56,6 @@ from .walk import (
     ResourceCapError,
     WalkConfig,
     blocked_increments,
-    blocked_walk,
     default_ecf_tgrid,
     geometric_checkpoints,
     simulate,
@@ -68,7 +66,6 @@ from .diagnostics import (
     ClassifyThresholds,
     DiagnosticsReport,
     SmallBallTable,
-    bootstrap_stat,
     build_report,
     divisibility_from_sums,
     divisibility_noise_floor,

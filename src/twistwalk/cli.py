@@ -42,7 +42,7 @@ from .spectral import (
     spectral_convolve,
 )
 from .processes import spectral_measure as measure_of
-from .walk import ResourceCapError, WalkConfig, blocked_walk, simulate, step
+from .walk import ResourceCapError, WalkConfig, blocked_increments, simulate, step
 
 PROCESS_NAMES = (
     "iid-rademacher",
@@ -218,8 +218,7 @@ def blocked_identity_check(spec, beta: Angle, seed: int, n_max: int) -> dict:
     p, q = beta.p, beta.q
     n_blocks = max(1, n_max // max(q, 1))
     x = make_stream(spec, seed, replica=0).take(n_blocks * q)
-    proc = blocked_walk(spec, p, q)
-    sums = np.cumsum(proc.transform(x))
+    sums = np.cumsum(blocked_increments(x, p, q))
     s = 0j
     worst = 0.0
     for k, xk in enumerate(x):

@@ -16,8 +16,12 @@ The functionals computed here:
   partial sums converge and returns eventually stop (Borel-Cantelli).
 
 Everything here is a pure reduction of ensemble data; confidence machinery
-is plain binomial/bootstrap.  The classifier reports *evidence*, never
-proof, and echoes every threshold it used.
+is plain binomial/bootstrap.  Each statistic reads what raw and streaming
+runs both record (ball counts, integer return sums, characteristic-function
+values on the structured t-grid), so the report's numbers and its label do
+not depend on the memory mode; raw samples only add bootstrap noise floors.
+The classifier reports *evidence*, never proof, and echoes every threshold
+it used.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import CONVENTION_NOTE
-from .walk import ECF_M_MAX, CheckpointEnsemble, default_ecf_tgrid, structured_ecf_tgrid
+from .walk import (
+    ECF_BLOCK,
+    ECF_M_MAX,
+    CheckpointEnsemble,
+    default_ecf_tgrid,
+    ecf,
+    mid_checkpoint,
+    structured_ecf_tgrid,
+)
 
 SCHEMA_VERSION = 1
 
@@ -86,38 +98,32 @@ class SmallBallTable:
                         int(round(self.p_hat[i, j] * self.replicas)), self.replicas)
 
 
-def small_ball(ens: CheckpointEnsemble, n: int, eta: float) -> Estimate:
-    """Fraction of replicas with |n^{-1/2} S_n| <= eta, with binomial SE.
+def _eta_index(ens: CheckpointEnsemble, eta: float) -> int:
+    match = np.isclose(ens.eta_grid, eta)
+    if not match.any():
+        raise ValueError(f"eta={eta} not on the recorded grid")
+    return int(np.argmax(match))
 
-    In raw mode any radius works; in streaming mode eta must be on the grid.
-    """
+
+def _ball(ens: CheckpointEnsemble, counts: dict, n: int, eta: float) -> Estimate:
     n = int(n)
-    if n not in ens.scaled_counts:
+    if n not in counts:
         raise KeyError(f"{n} is not a recorded checkpoint")
     R = ens.replicas_done
-    if ens.samples is not None:
-        k = int(np.count_nonzero(np.abs(ens.samples[n]) <= eta))
-    else:
-        match = np.isclose(ens.eta_grid, eta)
-        if not match.any():
-            raise ValueError(f"eta={eta} not on the recorded grid (streaming mode)")
-        k = int(ens.scaled_counts[n][int(np.argmax(match))])
+    k = int(counts[n][_eta_index(ens, eta)])
     p = k / R
     return Estimate(p, _binom_se(p, R), k, R)
+
+
+def small_ball(ens: CheckpointEnsemble, n: int, eta: float) -> Estimate:
+    """Fraction of replicas with |n^{-1/2} S_n| <= eta, with binomial SE;
+    eta must be on the recorded grid."""
+    return _ball(ens, ens.scaled_counts, n, eta)
 
 
 def unscaled_ball(ens: CheckpointEnsemble, n: int, eta: float) -> Estimate:
     """Fraction of replicas with |S_n| <= eta (no scaling)."""
-    n = int(n)
-    if n not in ens.unscaled_counts:
-        raise KeyError(f"{n} is not a recorded checkpoint")
-    match = np.isclose(ens.eta_grid, eta)
-    if not match.any():
-        raise ValueError(f"eta={eta} not on the recorded grid")
-    R = ens.replicas_done
-    k = int(ens.unscaled_counts[n][int(np.argmax(match))])
-    p = k / R
-    return Estimate(p, _binom_se(p, R), k, R)
+    return _ball(ens, ens.unscaled_counts, n, eta)
 
 
 def tau(ens: CheckpointEnsemble, n: int, eta: float, mode: str = "auto"):
@@ -130,10 +136,7 @@ def tau(ens: CheckpointEnsemble, n: int, eta: float, mode: str = "auto"):
     n = int(n)
     if mode not in ("auto", "dense", "grid"):
         raise ValueError(f"unknown tau mode {mode!r}")
-    match = np.isclose(ens.eta_grid, eta)
-    if not match.any():
-        raise ValueError(f"eta={eta} not on the recorded grid")
-    j = int(np.argmax(match))
+    j = _eta_index(ens, eta)
     R = ens.replicas_done
     use_dense = (
         mode != "grid"
@@ -198,106 +201,52 @@ def _z_for(significance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ecf(samples: np.ndarray, tpoints: np.ndarray) -> np.ndarray:
-    """Empirical characteristic function at complex frequencies t.
-
-    Uses the real pairing <t, z> = Re(t) Re(z) + Im(t) Im(z); evaluation is
-    chunked over samples so large replica sets stay in bounded memory.
-    """
-    z = np.asarray(samples)
-    t = np.asarray(tpoints)
-    total = np.zeros(t.size, dtype=complex)
-    for lo in range(0, z.size, 16384):
-        zc = z[lo : lo + 16384]
-        total += np.exp(1j * (np.outer(zc.real, t.real) + np.outer(zc.imag, t.imag))).sum(axis=0)
-    return total / z.size
+def _rotated_grid(beta, m_max: int) -> np.ndarray:
+    """Blocks m = 0..m_max of the structured grid: base * e^{i beta m}."""
+    b = float(beta.value) if hasattr(beta, "value") else float(beta)
+    return structured_ecf_tgrid(b, m_max)[: (m_max + 1) * ECF_BLOCK]
 
 
-def rotation_invariance_stat(samples: np.ndarray, beta: float, tgrid: np.ndarray | None = None,
-                             m_max: int = 8) -> float:
+def rotation_invariance_stat(samples: np.ndarray, beta, m_max: int = ECF_M_MAX) -> float:
     """max over m <= m_max, t in the grid of |cf(t) - cf(e^{i m beta} t)|.
 
     Zero in law when the scaled distribution is invariant under rotation by
     beta (equivalently under e^{-i m beta} acting on the samples).
     """
-    t = default_ecf_tgrid() if tgrid is None else np.asarray(tgrid)
-    b = float(beta.value) if hasattr(beta, "value") else float(beta)
-    all_t = np.concatenate([t * np.exp(1j * b * m) for m in range(m_max + 1)])
-    phi = ecf(samples, all_t).reshape(m_max + 1, t.size)
+    phi = ecf(samples, _rotated_grid(beta, m_max)).reshape(m_max + 1, ECF_BLOCK)
     return float(np.abs(phi[1:] - phi[0][None, :]).max())
 
 
-def divisibility_stat(samples_n: np.ndarray, samples_half: np.ndarray,
-                      tgrid: np.ndarray | None = None) -> float:
+def divisibility_stat(samples_n: np.ndarray, samples_half: np.ndarray) -> float:
     """sup_t |cf_n(t) - cf_half(t / sqrt 2)^2| over the fixed t-grid.
 
     Tests the two-scale factorization a weak limit of the scaled walk must
     satisfy: the law at n is the law at n/2 convolved with itself and
     rescaled by sqrt 2.
     """
-    t = default_ecf_tgrid() if tgrid is None else np.asarray(tgrid)
+    t = default_ecf_tgrid()
     phi_n = ecf(samples_n, t)
     phi_h = ecf(samples_half, t / math.sqrt(2.0))
     return float(np.abs(phi_n - phi_h ** 2).max())
 
 
-def _structured_blocks(ens: CheckpointEnsemble, m_max: int) -> int:
-    """Validate the recorded t-grid against the structured layout; returns
-    the base block size.  Streaming summaries on any other grid cannot feed
-    the structure statistics and are refused."""
-    base = default_ecf_tgrid()
-    expected = structured_ecf_tgrid(ens.beta_value, m_max)
-    t = ens.ecf_tgrid
-    if t is None or t.size != expected.size or not np.allclose(t, expected):
-        raise ValueError(
-            "streaming summaries were recorded on a t-grid that does not "
-            "match the structured layout for this twist angle; rerun with "
-            "the default grid or retain raw samples"
-        )
-    return base.size
-
-
-def rotation_invariance_from_sums(ens: CheckpointEnsemble, n: int,
-                                  m_max: int = ECF_M_MAX) -> float:
-    """Rotation-invariance statistic from accumulated cf sums (streaming mode)."""
-    T = _structured_blocks(ens, m_max)
-    phi = ens.ecf(n)[: (m_max + 1) * T].reshape(m_max + 1, T)
+def rotation_invariance_from_sums(ens: CheckpointEnsemble, n: int) -> float:
+    """Rotation-invariance statistic at n from the ensemble's characteristic
+    function on blocks 0..ECF_M_MAX of its structured grid (either mode)."""
+    M = ECF_M_MAX + 1
+    phi = ens.ecf(n, slice(0, M * ECF_BLOCK)).reshape(M, ECF_BLOCK)
     return float(np.abs(phi[1:] - phi[:1]).max())
 
 
-def divisibility_from_sums(ens: CheckpointEnsemble, n: int,
-                           m_max: int = ECF_M_MAX) -> float:
-    """Divisibility statistic from accumulated cf sums at n and n//2."""
-    T = _structured_blocks(ens, m_max)
+def divisibility_from_sums(ens: CheckpointEnsemble, n: int) -> float:
+    """Divisibility statistic at n and n//2 from the ensemble's characteristic
+    function: the base block at n, the rescaled final block at n//2."""
     half = int(n) // 2
     if half not in ens.scaled_counts:
         raise ValueError(f"checkpoint {half} was not recorded")
-    phi_n = ens.ecf(n)[:T]  # m = 0 block: the base grid itself
-    phi_h = ens.ecf(half)[-T:]  # final block: base / sqrt(2)
+    phi_n = ens.ecf(n, slice(0, ECF_BLOCK))
+    phi_h = ens.ecf(half, slice(-ECF_BLOCK, None))
     return float(np.abs(phi_n - phi_h ** 2).max())
-
-
-def bootstrap_stat(stat_fn, sample_sets, n_boot: int = 100, seed: int = 0) -> dict:
-    """Bootstrap a statistic of one or more replica sample sets.
-
-    Resamples each set with replacement (independently), recomputes the
-    statistic, and reports mean/SE/95th percentile of the bootstrap
-    distribution -- the q95 is the reported noise floor.
-    """
-    rng = np.random.default_rng(np.random.Philox(key=int(seed)))
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
-        resampled = []
-        for s in sample_sets:
-            idx = rng.integers(0, len(s), size=len(s))
-            resampled.append(np.asarray(s)[idx])
-        vals[b] = stat_fn(*resampled)
-    return {
-        "mean": float(vals.mean()),
-        "se": float(vals.std(ddof=1)),
-        "q95": float(np.quantile(vals, 0.95)),
-        "n_boot": int(n_boot),
-    }
 
 
 def _boot_ecf(samples: np.ndarray, tpoints: np.ndarray, n_boot: int, rng) -> np.ndarray:
@@ -332,22 +281,19 @@ def _floor_summary(vals: np.ndarray, n_boot: int) -> dict:
     }
 
 
-def rotation_invariance_noise_floor(samples, beta, tgrid: np.ndarray | None = None,
-                                    m_max: int = 8, n_boot: int = 100, seed: int = 1) -> dict:
+def rotation_invariance_noise_floor(samples, beta, m_max: int = ECF_M_MAX, n_boot: int = 100,
+                                    seed: int = 1) -> dict:
     """Bootstrap distribution of the rotation-invariance statistic."""
-    t = default_ecf_tgrid() if tgrid is None else np.asarray(tgrid)
-    b = float(beta.value) if hasattr(beta, "value") else float(beta)
-    all_t = np.concatenate([t * np.exp(1j * b * m) for m in range(m_max + 1)])
     rng = np.random.default_rng(np.random.Philox(key=int(seed)))
-    phis = _boot_ecf(samples, all_t, n_boot, rng).reshape(n_boot, m_max + 1, t.size)
+    phis = _boot_ecf(samples, _rotated_grid(beta, m_max), n_boot, rng).reshape(
+        n_boot, m_max + 1, ECF_BLOCK)
     vals = np.abs(phis[:, 1:, :] - phis[:, :1, :]).max(axis=(1, 2))
     return _floor_summary(vals, n_boot)
 
 
-def divisibility_noise_floor(samples_n, samples_half, tgrid: np.ndarray | None = None,
-                             n_boot: int = 100, seed: int = 1) -> dict:
+def divisibility_noise_floor(samples_n, samples_half, n_boot: int = 100, seed: int = 1) -> dict:
     """Bootstrap distribution of the divisibility statistic."""
-    t = default_ecf_tgrid() if tgrid is None else np.asarray(tgrid)
+    t = default_ecf_tgrid()
     rng = np.random.default_rng(np.random.Philox(key=int(seed)))
     phi_n = _boot_ecf(samples_n, t, n_boot, rng)
     phi_h = _boot_ecf(samples_half, t / math.sqrt(2.0), n_boot, rng)
@@ -417,10 +363,7 @@ def transience_summability(ens: CheckpointEnsemble, eta: float, n_window=None,
     gamma exceeds 1 by z(significance) standard errors; partial sums and the
     fraction contributed by the last octave quantify visible saturation.
     """
-    match = np.isclose(ens.eta_grid, eta)
-    if not match.any():
-        raise ValueError(f"eta={eta} not on the recorded grid")
-    j = int(np.argmax(match))
+    j = _eta_index(ens, eta)
     R = ens.replicas_done
     n_lo, n_hi = (int(n_window[0]), int(n_window[1])) if n_window is not None else (
         max(1, ens.n_max // 64), ens.n_max)
@@ -524,24 +467,24 @@ class ClassifyThresholds:
 
 
 def returns_growth(ens: CheckpointEnsemble, eta: float) -> dict:
-    """Mean return count at n_max versus the midpoint checkpoint.
+    """Mean return count at the last checkpoint versus ``mid_checkpoint``.
 
     Return counts are per-replica monotone, so growth is judged on the mean
-    increment between the mid checkpoint and the final one.
+    increment between the mid checkpoint and the last one.  Its standard
+    error comes from the exact integer sums of the per-replica increments
+    and of their squares, which both memory modes record.
     """
-    match = np.isclose(ens.eta_grid, eta)
-    if not match.any():
-        raise ValueError(f"eta={eta} not on the recorded grid")
-    j = int(np.argmax(match))
+    j = _eta_index(ens, eta)
     R = ens.replicas_done
-    cps = list(ens.checkpoints)
-    n_hi = cps[-1]
-    n_mid = min(cps, key=lambda c: abs(math.log(max(c, 1)) - math.log(n_hi) / 2.0))
-    hi = float(ens.return_count_sums[n_hi][j]) / R
-    mid = float(ens.return_count_sums[n_mid][j]) / R
-    if ens.return_counts is not None:
-        diff = (ens.return_counts[n_hi][:, j] - ens.return_counts[n_mid][:, j]).astype(float)
-        se = float(diff.std(ddof=1) / math.sqrt(R)) if R > 1 else float("nan")
+    n_hi = ens.checkpoints[-1]
+    n_mid = mid_checkpoint(ens.checkpoints)
+    s_hi = int(ens.return_count_sums[n_hi][j])
+    s_mid = int(ens.return_count_sums[n_mid][j])
+    hi = float(s_hi) / R
+    mid = float(s_mid) / R
+    if R > 1:
+        s1, s2 = s_hi - s_mid, int(ens.return_increment_sq[j])
+        se = math.sqrt((R * s2 - s1 * s1) / (R * (R - 1))) / math.sqrt(R)
     else:
         se = float("nan")
     return {"eta": float(eta), "n_mid": int(n_mid), "n_hi": int(n_hi),
@@ -644,8 +587,12 @@ class DiagnosticsReport:
 
 
 def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = ClassifyThresholds(),
-                 n_boot: int = 0, boot_seed: int = 1, m_max: int = 8) -> DiagnosticsReport:
-    """Assemble the full diagnostics report for one ensemble."""
+                 n_boot: int = 0, boot_seed: int = 1) -> DiagnosticsReport:
+    """Assemble the full diagnostics report for one ensemble.
+
+    Every statistic comes from the same reduction in raw and streaming mode;
+    raw samples add bootstrap noise floors when ``n_boot`` is nonzero.
+    """
     table = SmallBallTable.from_ensemble(ens)
     cps = list(ens.checkpoints)
     R = ens.replicas_done
@@ -670,36 +617,25 @@ def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = Class
     grow = returns_growth(ens, sum_eta)
     verdictd = classify(c_late, c_early, grow, summ, ens.n_max, thresholds)
 
-    invariance = None
-    divisibility = None
     flags = []
     n_hi = cps[-1]
     half = n_hi // 2
-    if ens.samples is not None:
+    invariance = {"n": n_hi, "stat": rotation_invariance_from_sums(ens, n_hi),
+                  "m_max": ECF_M_MAX}
+    divisibility = None
+    if half in ens.scaled_counts:
+        divisibility = {"n": n_hi, "n_half": half, "stat": divisibility_from_sums(ens, n_hi)}
+    if ens.samples is None:
+        invariance["mode"] = "streaming"
+        if divisibility is not None:
+            divisibility["mode"] = "streaming"
+    elif n_boot:
         s_hi = ens.samples[n_hi]
-        inv = rotation_invariance_stat(s_hi, ens.beta_value, m_max=m_max)
-        invariance = {"n": n_hi, "stat": inv, "m_max": m_max}
-        if half in ens.samples:
-            div = divisibility_stat(s_hi, ens.samples[half])
-            divisibility = {"n": n_hi, "n_half": half, "stat": div}
-        if n_boot:
-            invariance["noise_floor"] = rotation_invariance_noise_floor(
-                s_hi, ens.beta_value, m_max=m_max, n_boot=n_boot, seed=boot_seed)
-            if divisibility is not None:
-                divisibility["noise_floor"] = divisibility_noise_floor(
-                    s_hi, ens.samples[half], n_boot=n_boot, seed=boot_seed + 1)
-    elif ens.ecf_sums is not None:
-        # streaming summaries: the structured grid carries exactly the
-        # rotated/rescaled evaluation points (no bootstrap without samples)
-        try:
-            inv = rotation_invariance_from_sums(ens, n_hi, m_max=m_max)
-            invariance = {"n": n_hi, "stat": inv, "m_max": m_max, "mode": "streaming"}
-            if half in ens.scaled_counts:
-                div = divisibility_from_sums(ens, n_hi, m_max=m_max)
-                divisibility = {"n": n_hi, "n_half": half, "stat": div,
-                                "mode": "streaming"}
-        except ValueError:
-            flags.append("cf-grid-mismatch")
+        invariance["noise_floor"] = rotation_invariance_noise_floor(
+            s_hi, ens.beta_value, n_boot=n_boot, seed=boot_seed)
+        if divisibility is not None:
+            divisibility["noise_floor"] = divisibility_noise_floor(
+                s_hi, ens.samples[half], n_boot=n_boot, seed=boot_seed + 1)
     if divisibility is not None and abs(growth.get("slope", 1.0) - 1.0) > 0.25:
         divisibility["unreliable"] = True
         flags.append("divisibility-at-nonstandard-scaling")

@@ -535,13 +535,6 @@ def make_stream(spec, seed: int, replica: int = 0) -> IncrementStream:
     return IncrementStream(spec, seed, replica)
 
 
-def gaussian_from_spectral(measure: SpectralMeasure, window: int, seed: int,
-                           field: str = "real", replica: int = 0) -> IncrementStream:
-    """Stream whose first ``window`` values are Gaussian with the covariance
-    implied by ``measure`` (circulant embedding + random harmonics)."""
-    return make_stream(GaussianSpectral(measure, window, field), seed, replica)
-
-
 # ---------------------------------------------------------------------------
 # shift-of-finite-type chains
 # ---------------------------------------------------------------------------

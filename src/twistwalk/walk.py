@@ -14,6 +14,14 @@ Two kinds of ball statistics are recorded and must not be conflated:
 * small-ball tables use the *scaled* ball |n^{-1/2} S_n| <= eta (the
   quantity the recurrence criterion bounds below by c * eta^2).
 
+Raw mode (``record_raw``) keeps the scaled samples at every checkpoint;
+streaming mode keeps characteristic-function sums on the structured t-grid
+instead.  Everything else -- ball counts, moments, return counts and the
+sum of squared per-replica return increments between ``mid_checkpoint`` and
+the last checkpoint -- is reduced the same way in both modes, so every
+statistic the two modes share comes from one code path, and samples serve
+only the bootstrap noise floors.
+
 Replicas are embarrassingly parallel.  Replica r draws from a counter-based
 generator keyed by (seed, r); replicas are processed in fixed-size batches
 and all reductions run in batch order, so the worker count can never change
@@ -39,6 +47,8 @@ TWO_PI = 2.0 * math.pi
 ECF_POINTS_PER_RAY = 32
 ECF_TMAX = 4.0
 ECF_M_MAX = 8
+#: points in the base grid (two rays), the block size of the structured grid
+ECF_BLOCK = 2 * ECF_POINTS_PER_RAY
 
 #: the step loop keeps positions for about BLOCK_VALUES replica-steps, and
 #: at most BLOCK_STEPS steps, before reducing them
@@ -60,16 +70,30 @@ def structured_ecf_tgrid(beta: float, m_max: int = ECF_M_MAX) -> np.ndarray:
     """The run-start t-grid: base rays, their twist-angle rotations, and a
     sqrt(2)-rescale.
 
-    Layout (base size T): blocks m = 0..m_max hold base * e^{i beta m}, the
-    final block holds base / sqrt(2).  Accumulating characteristic-function
-    sums on this grid is exactly what the rotation-invariance and
-    divisibility statistics need, so they remain computable when only
-    streaming summaries are kept.
+    Layout (base size ECF_BLOCK): blocks m = 0..m_max hold base * e^{i beta m},
+    the final block holds base / sqrt(2).  These are exactly the points the
+    rotation-invariance and divisibility statistics read, so both memory
+    modes compute them from the same characteristic function values.
     """
     base = default_ecf_tgrid()
     blocks = [base * np.exp(1j * beta * m) for m in range(m_max + 1)]
     blocks.append(base / math.sqrt(2.0))
     return np.concatenate(blocks)
+
+
+def ecf(samples: np.ndarray, tpoints: np.ndarray) -> np.ndarray:
+    """Empirical characteristic function at complex frequencies t.
+
+    Uses the real pairing <t, z> = Re(t) Re(z) + Im(t) Im(z); evaluation is
+    chunked over samples so large replica sets stay in bounded memory.
+    """
+    z = np.asarray(samples)
+    t = np.asarray(tpoints)
+    total = np.zeros(t.size, dtype=complex)
+    for lo in range(0, z.size, 16384):
+        zc = z[lo : lo + 16384]
+        total += np.exp(1j * (np.outer(zc.real, t.real) + np.outer(zc.imag, t.imag))).sum(axis=0)
+    return total / z.size
 
 
 def geometric_checkpoints(n_max: int) -> tuple:
@@ -90,6 +114,13 @@ def geometric_checkpoints(n_max: int) -> tuple:
     return tuple(sorted(pts))
 
 
+def mid_checkpoint(checkpoints) -> int:
+    """The checkpoint nearest the geometric midpoint of the run (log n_hi / 2);
+    return growth is measured from it to the last checkpoint."""
+    n_hi = checkpoints[-1]
+    return min(checkpoints, key=lambda c: abs(math.log(max(c, 1)) - math.log(n_hi) / 2.0))
+
+
 @dataclass
 class WalkConfig:
     beta: Angle | float
@@ -101,7 +132,7 @@ class WalkConfig:
     dense_counts: bool | None = None  # None: on when n_max <= 4096
     record_raw: bool | None = None  # None: on while within raw_cap_bytes
     raw_cap_bytes: int = 1 << 29
-    ecf_tgrid: np.ndarray | None = None
+    ecf_tgrid: np.ndarray = field(init=False, repr=False)  # structured grid of beta
     workers: int = 1
     batch_size: int | None = None
     resource_cap: int = 1 << 31
@@ -132,12 +163,11 @@ class WalkConfig:
         if self.dense_counts is None:
             self.dense_counts = self.n_max <= 4096
         if self.record_raw is None:
-            # a complex sample and an int32 return count per radius, per
-            # replica and checkpoint, held twice while merge concatenates
-            need = 2 * (16 + 4 * len(etas)) * self.replicas * len(self.checkpoints)
+            # a complex sample per replica and checkpoint, held twice while
+            # merge concatenates
+            need = 2 * 16 * self.replicas * len(self.checkpoints)
             self.record_raw = need <= self.raw_cap_bytes
-        if self.ecf_tgrid is None:
-            self.ecf_tgrid = structured_ecf_tgrid(self.beta.value)
+        self.ecf_tgrid = structured_ecf_tgrid(self.beta.value)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -164,7 +194,9 @@ class CheckpointEnsemble:
     beta_fraction: tuple | None
     mode: str  # "raw" | "streaming"
     samples: dict | None  # n -> (R,) complex, scaled positions n^{-1/2} S_n
-    return_counts: dict | None  # n -> (R, E) int32, #{k<=n: |S_k|<=eta}
+    # (E,) int64: sum over replicas of (returns at the last checkpoint -
+    # returns at mid_checkpoint)^2, returns counted as #{k<=n: |S_k|<=eta}
+    return_increment_sq: np.ndarray
     scaled_counts: dict = field(default_factory=dict)  # n -> (E,) int64
     unscaled_counts: dict = field(default_factory=dict)  # n -> (E,) int64
     return_count_sums: dict = field(default_factory=dict)  # n -> (E,) int64
@@ -188,21 +220,14 @@ class CheckpointEnsemble:
         s = self.moment_sums[int(n)]
         return float(s[2]) / self.replicas_done
 
-    def ecf(self, n: int) -> np.ndarray:
-        """Empirical characteristic function of the scaled position at n."""
+    def ecf(self, n: int, points=slice(None)) -> np.ndarray:
+        """Empirical characteristic function of the scaled position at n, on
+        ``ecf_tgrid[points]``; raw mode evaluates only those points."""
         if self.samples is not None:
-            z = self.samples[int(n)]
-            t = self.ecf_tgrid
-            total = np.zeros(t.size, dtype=complex)
-            for lo in range(0, z.size, 16384):
-                zc = z[lo : lo + 16384]
-                total += np.exp(
-                    1j * (np.outer(zc.real, t.real) + np.outer(zc.imag, t.imag))
-                ).sum(axis=0)
-            return total / z.size
+            return ecf(self.samples[int(n)], self.ecf_tgrid[points])
         if self.ecf_sums is None:
             raise ValueError("no characteristic-function data recorded")
-        return self.ecf_sums[int(n)] / self.replicas_done
+        return self.ecf_sums[int(n)][points] / self.replicas_done
 
 
 def step(s: complex, beta, x: complex) -> complex:
@@ -218,7 +243,7 @@ class _BatchAccumulator:
         E = len(cfg.eta_grid)
         C = len(cfg.checkpoints)
         self.samples = {n: None for n in cfg.checkpoints} if cfg.record_raw else None
-        self.return_snapshots = {n: None for n in cfg.checkpoints} if cfg.record_raw else None
+        self.return_increment_sq = np.zeros(E, dtype=np.int64)
         self.scaled_counts = np.zeros((C, E), dtype=np.int64)
         self.unscaled_counts = np.zeros((C, E), dtype=np.int64)
         self.return_count_sums = np.zeros((C, E), dtype=np.int64)
@@ -244,6 +269,8 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
     eta2 = np.asarray(cfg.eta_grid, dtype=float) ** 2
     c = complex(math.cos(cfg.beta.value), math.sin(cfg.beta.value))
     checkpoints = cfg.checkpoints + (cfg.n_max + 1,)  # sentinel past the run
+    ci_mid = cfg.checkpoints.index(mid_checkpoint(cfg.checkpoints))
+    ci_last = len(cfg.checkpoints) - 1
 
     S = np.zeros(B, dtype=complex)
     returns = np.zeros((eta2.size, B), dtype=np.int32)  # one row per radius
@@ -299,9 +326,13 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
                 (sa2 * sa2).sum(),
             )
             acc.max_abs[ci] = max(acc.max_abs[ci], float(np.sqrt(a2.max())))
+            if ci == ci_mid:
+                mid_returns = returns.copy()
+            if ci == ci_last:
+                d = (returns - mid_returns).astype(np.int64)
+                acc.return_increment_sq += (d * d).sum(axis=1)
             if acc.samples is not None:
                 acc.samples[n] = scaled
-                acc.return_snapshots[n] = returns.T.copy()
             if acc.ecf_sums is not None:
                 np.outer(scaled.real, t_grid.real, out=arg)
                 arg += np.outer(scaled.imag, t_grid.imag, out=ph.real)  # ph as scratch
@@ -378,13 +409,9 @@ def simulate(spec, cfg: WalkConfig) -> CheckpointEnsemble:
 def _merge(cfg: WalkConfig, accs, partial: bool, replicas_done: int) -> CheckpointEnsemble:
     C = len(cfg.checkpoints)
     samples = None
-    return_counts = None
     if cfg.record_raw:
         samples = {
             n: np.concatenate([a.samples[n] for a in accs]) for n in cfg.checkpoints
-        }
-        return_counts = {
-            n: np.concatenate([a.return_snapshots[n] for a in accs]) for n in cfg.checkpoints
         }
     scaled = {}
     unscaled = {}
@@ -423,7 +450,7 @@ def _merge(cfg: WalkConfig, accs, partial: bool, replicas_done: int) -> Checkpoi
         beta_fraction=(cfg.beta.p, cfg.beta.q) if cfg.beta.is_rational else None,
         mode="raw" if cfg.record_raw else "streaming",
         samples=samples,
-        return_counts=return_counts,
+        return_increment_sq=sum(a.return_increment_sq for a in accs),
         scaled_counts=scaled,
         unscaled_counts=unscaled,
         return_count_sums=ret_sums,
@@ -465,54 +492,3 @@ def blocked_increments(x: np.ndarray, p: int, q: int) -> np.ndarray:
     beta = TWO_PI * p / q
     phases = np.exp(-1j * beta * np.arange(q)) * np.exp(1j * (q - 1) * beta)
     return (x.reshape(-1, q) * phases[None, :]).sum(axis=1)
-
-
-class BlockedProcess:
-    """Derived increment process X' for a rational twist angle.
-
-    Wraps streams of the base spec so that the ordinary (untwisted) walk
-    over the emitted values follows the twisted walk sampled every q steps.
-    """
-
-    def __init__(self, spec, p: int, q: int):
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        q = int(q)
-        p = int(p)
-        if q < 0:
-            p, q = -p, -q
-        p %= q
-        if math.gcd(p, q) != 1:
-            raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
-        self.spec = spec
-        self.p = p
-        self.q = q
-        self.beta = Angle.rational(p, q)
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return blocked_increments(x, self.p, self.q)
-
-    def stream(self, seed: int, replica: int = 0) -> "_BlockedStream":
-        from .processes import make_stream
-
-        return _BlockedStream(self, make_stream(self.spec, seed, replica))
-
-
-class _BlockedStream:
-    def __init__(self, proc: BlockedProcess, base):
-        self.proc = proc
-        self.base = base
-        self.position = 0
-
-    def take(self, n: int) -> np.ndarray:
-        out = self.proc.transform(self.base.take(int(n) * self.proc.q))
-        self.position += int(n)
-        return out
-
-    def next(self) -> complex:
-        return complex(self.take(1)[0])
-
-
-def blocked_walk(spec, p: int, q: int) -> BlockedProcess:
-    """Derived increment transformer for beta = 2*pi*p/q (see BlockedProcess)."""
-    return BlockedProcess(spec, p, q)

@@ -7,7 +7,6 @@ import twistwalk as tw
 from twistwalk.diagnostics import (
     ClassifyThresholds,
     SmallBallTable,
-    bootstrap_stat,
     build_report,
     classify,
     divisibility_noise_floor,
@@ -23,7 +22,7 @@ from twistwalk.diagnostics import (
     transience_summability,
     unscaled_ball,
 )
-from twistwalk.processes import IID, Rotation, GaussianSpectral
+from twistwalk.processes import IID, GaussianSpectral, MovingAverage, Rotation, golden_mean_spec
 from twistwalk.spectral import SpectralMeasure
 from twistwalk.walk import CheckpointEnsemble, WalkConfig, simulate
 
@@ -48,13 +47,33 @@ def synthetic_ensemble(checkpoints, eta_grid, replicas, dense_scaled=None,
     return CheckpointEnsemble(
         checkpoints=cps, eta_grid=tuple(eta_grid), replicas=replicas, seed=0,
         beta_value=1.0, beta_fraction=None, mode="raw" if samples is not None else "streaming",
-        samples=samples, return_counts=None, scaled_counts=scaled_counts,
+        samples=samples, return_increment_sq=np.zeros(E, dtype=np.int64),
+        scaled_counts=scaled_counts,
         unscaled_counts=unscaled_counts, return_count_sums=return_count_sums,
         moment_sums=moment_sums, max_abs={n: 1.0 for n in cps},
         rotation={n: 0.0 for n in cps}, ecf_sums=None, ecf_tgrid=None,
         dense_scaled=dense_scaled, dense_unscaled=dense_unscaled,
         partial=False, replicas_done=replicas, n_max=n_max,
     )
+
+
+def bootstrap_stat(stat_fn, sample_sets, n_boot: int = 100, seed: int = 0) -> dict:
+    """Oracle for the noise floors: resample each set with replacement
+    (independently), recompute the statistic, and summarise."""
+    rng = np.random.default_rng(np.random.Philox(key=int(seed)))
+    vals = np.empty(n_boot)
+    for b in range(n_boot):
+        resampled = []
+        for s in sample_sets:
+            idx = rng.integers(0, len(s), size=len(s))
+            resampled.append(np.asarray(s)[idx])
+        vals[b] = stat_fn(*resampled)
+    return {
+        "mean": float(vals.mean()),
+        "se": float(vals.std(ddof=1)),
+        "q95": float(np.quantile(vals, 0.95)),
+        "n_boot": int(n_boot),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +97,14 @@ def transient_walk():
 
 
 class TestSmallBall:
-    def test_radius_beyond_support_is_one(self, gaussian_walk):
-        big = float(np.abs(gaussian_walk.samples[1024]).max()) + 1.0
-        assert small_ball(gaussian_walk, 1024, big).value == 1.0
+    def test_radius_beyond_support_is_one(self):
+        # |S_1| = 1 for unit-modulus increments; radii must be on the grid
+        cfg = WalkConfig(beta=0.3, n_max=4, checkpoints=[1], replicas=500, seed=5,
+                         eta_grid=(0.5, 1.5), record_raw=True)
+        ens = simulate(IID("uniform-circle"), cfg)
+        assert small_ball(ens, 1, 1.5).value == 1.0
+        with pytest.raises(ValueError):
+            small_ball(ens, 1, 2.0)
 
     def test_unit_modulus_support(self):
         cfg = WalkConfig(beta=0.3, n_max=4, checkpoints=[1], replicas=500, seed=5)
@@ -415,15 +439,35 @@ class TestReport:
         with pytest.raises(ValueError):
             stream.scaled_samples(128)
 
-    def test_streaming_mode_refuses_mismatched_grid(self):
-        from twistwalk.diagnostics import rotation_invariance_from_sums
-        from twistwalk.walk import default_ecf_tgrid
 
-        cfg = WalkConfig(beta=0.8, n_max=64, checkpoints=[32, 64], replicas=300,
-                         seed=4, record_raw=False, ecf_tgrid=default_ecf_tgrid())
-        ens = simulate(IID("complex-gaussian"), cfg)
-        with pytest.raises(ValueError, match="t-grid"):
-            rotation_invariance_from_sums(ens, 64)
-        rep = build_report(ens)
-        assert rep.invariance is None
-        assert "cf-grid-mismatch" in rep.flags
+MODE_FAMILIES = {
+    "iid": lambda n: IID("complex-gaussian"),
+    "ma": lambda n: MovingAverage((1, 0.5)),
+    "golden-mean": lambda n: golden_mean_spec(),
+    "gaussian-spectral": lambda n: GaussianSpectral(SpectralMeasure.singular_half_power(2.0),
+                                                    window=n, field="real"),
+    "rotation": lambda n: Rotation(alpha=math.sqrt(2.0), fourier=((1, 1.0),)),
+}
+
+
+class TestModeInvariance:
+    @pytest.mark.parametrize("family", sorted(MODE_FAMILIES))
+    def test_raw_and_streaming_reports_agree(self, family):
+        # the memory mode decides only whether samples are kept: labels,
+        # return statistics and their integer sums are identical, and the
+        # structure statistics agree to rounding
+        kw = dict(beta=2.0, n_max=512, replicas=600, seed=31, batch_size=256)
+        spec = MODE_FAMILIES[family](kw["n_max"])
+        raw = simulate(spec, WalkConfig(**kw, record_raw=True))
+        stream = simulate(spec, WalkConfig(**kw, record_raw=False))
+        assert (raw.mode, stream.mode) == ("raw", "streaming")
+        assert np.array_equal(raw.return_increment_sq, stream.return_increment_sq)
+        for n in raw.checkpoints:
+            assert np.array_equal(raw.return_count_sums[n], stream.return_count_sums[n])
+        rep_raw, rep_stream = build_report(raw), build_report(stream)
+        assert rep_raw.label == rep_stream.label
+        assert rep_raw.returns == rep_stream.returns
+        assert not math.isnan(rep_stream.returns["increment_se"])
+        for block in ("invariance", "divisibility"):
+            assert getattr(rep_stream, block)["stat"] == pytest.approx(
+                getattr(rep_raw, block)["stat"], abs=1e-9)

@@ -289,10 +289,6 @@ class TestGaussianSpectral:
         x = make_stream(spec, 3).take(16)
         assert np.all(x.imag == 0)
 
-    def test_gaussian_from_spectral_helper(self):
-        s = tw.gaussian_from_spectral(SpectralMeasure.flat(1.0, 256), 64, seed=4)
-        assert s.take(64).shape == (64,)
-
 
 class TestMixing:
     @staticmethod

@@ -87,6 +87,7 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
     S = np.zeros(B, dtype=complex)
     returns = np.zeros((B, eta2.size), dtype=np.int32)
     cps = {n: ci for ci, n in enumerate(cfg.checkpoints)}
+    n_mid = walk.mid_checkpoint(cfg.checkpoints)
     n = 0
     chunk = max(256, min(4096, (1 << 23) // B))
     while n < cfg.n_max:
@@ -112,9 +113,13 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
                 acc.moment_sums[ci] += (scaled.real.sum(), scaled.imag.sum(),
                                         sa2.sum(), (sa2 * sa2).sum())
                 acc.max_abs[ci] = max(acc.max_abs[ci], float(np.sqrt(a2.max())))
+                if n == n_mid:
+                    mid_returns = returns.copy()
+                if n == cfg.checkpoints[-1]:
+                    d = returns.astype(np.int64) - mid_returns
+                    acc.return_increment_sq += (d * d).sum(axis=0)
                 if acc.samples is not None:
                     acc.samples[n] = scaled.copy()
-                    acc.return_snapshots[n] = returns.copy()
                 if acc.ecf_sums is not None:
                     t_grid = cfg.ecf_tgrid
                     acc.ecf_sums[ci] += np.exp(1j * (np.outer(scaled.real, t_grid.real)
@@ -122,8 +127,8 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
     return acc
 
 
-ARRAY_FIELDS = ("dense_scaled", "dense_unscaled", "ecf_tgrid")
-DICT_FIELDS = ("samples", "return_counts", "scaled_counts", "unscaled_counts",
+ARRAY_FIELDS = ("dense_scaled", "dense_unscaled", "ecf_tgrid", "return_increment_sq")
+DICT_FIELDS = ("samples", "scaled_counts", "unscaled_counts",
                "return_count_sums", "moment_sums", "max_abs", "rotation", "ecf_sums")
 
 

@@ -10,7 +10,6 @@ from twistwalk.walk import (
     ResourceCapError,
     WalkConfig,
     blocked_increments,
-    blocked_walk,
     geometric_checkpoints,
     simulate,
     step,
@@ -60,14 +59,16 @@ class TestConfig:
         assert cfg.rotation_fraction(3) == (6 % 5, 5)
         assert cfg.rotation_coordinate(5) == 0.0
 
-    def test_raw_mode_sized_with_snapshots_and_merge_copy(self):
-        # 12 checkpoints of a 16-byte sample and five 4-byte return counts
-        # per replica, held twice at merge: 864000 bytes against 208000
+    def test_raw_mode_sized_with_merge_copy(self):
+        # 12 checkpoints of a 16-byte sample per replica, held twice at
+        # merge: 384000 bytes; no per-replica return counts are kept
         R = 1000
         cfg = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=16 * R * 13)
         assert len(cfg.checkpoints) == 12
         assert not cfg.record_raw
-        big = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=2 * 36 * R * 12)
+        assert not WalkConfig(beta=0.1, n_max=64, replicas=R,
+                              raw_cap_bytes=2 * 16 * R * 12 - 1).record_raw
+        big = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=2 * 16 * R * 12)
         assert big.record_raw
 
     def test_resource_cap(self):
@@ -84,7 +85,8 @@ class TestSimulate:
         b = simulate(spec, WalkConfig(**cfg))
         for n in a.checkpoints:
             assert np.array_equal(a.samples[n], b.samples[n])
-            assert np.array_equal(a.return_counts[n], b.return_counts[n])
+            assert np.array_equal(a.return_count_sums[n], b.return_count_sums[n])
+        assert np.array_equal(a.return_increment_sq, b.return_increment_sq)
 
     def test_worker_and_batch_independence(self):
         # 1, 4 and 16 workers produce identical ensembles
@@ -166,9 +168,10 @@ class TestSimulate:
         for n in (64, 128):
             assert np.array_equal(raw.scaled_counts[n], stream.scaled_counts[n])
             assert np.allclose(raw.ecf(n), stream.ecf(n), atol=1e-9)
-        # per-replica return counts only exist in raw mode; sums always do
-        assert stream.return_counts is None
+        # return sums, and the squared increments behind their standard
+        # error, are recorded the same way in both modes
         assert np.array_equal(raw.return_count_sums[128], stream.return_count_sums[128])
+        assert np.array_equal(raw.return_increment_sq, stream.return_increment_sq)
 
     def test_gaussian_window_must_cover_run(self):
         spec = tw.GaussianSpectral(tw.SpectralMeasure.flat(1.0, 256), window=64, field="real")
@@ -236,15 +239,16 @@ class TestBlockedWalk:
             assert abs(s - xp.sum()) <= 1e-10 * max(1.0, abs(s))
 
     def test_stream_wrapper(self):
+        # blocking a stream piece by piece, in multiples of q, is blocking it whole
         spec = IID("complex-gaussian")
-        proc = blocked_walk(spec, 1, 3)
-        xp = proc.stream(seed=10).take(40)
+        stream = make_stream(spec, 10)
+        xp = np.concatenate([blocked_increments(stream.take(3 * k), 1, 3) for k in (7, 13, 20)])
         x = make_stream(spec, 10).take(120)
-        assert np.allclose(xp, blocked_increments(x, 1, 3), atol=1e-14)
+        assert np.array_equal(xp, blocked_increments(x, 1, 3))
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            blocked_walk(IID("rademacher"), 1, 0)
+            blocked_increments(np.ones(3, dtype=complex), 1, 0)
         with pytest.raises(ValueError):
             blocked_increments(np.ones(4, dtype=complex), 2, 4)  # not reduced
         with pytest.raises(ValueError):
