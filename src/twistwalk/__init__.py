@@ -26,17 +26,16 @@ from .processes import (
     IncrementStream,
     MarkovChain,
     MovingAverage,
+    ProcessFamily,
     Rotation,
     SpecError,
     StreamExhausted,
     covariance,
-    covariance_sequence,
     golden_mean_spec,
     make_stream,
     mixing_covariance_bound_check,
     parry_chain,
     spec_from_json,
-    spec_to_json,
     spectral_measure,
     window_covariance_mc,
 )

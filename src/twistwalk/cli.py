@@ -13,6 +13,7 @@ exceeded (partial outputs are written and flagged).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +34,6 @@ from .processes import (
     golden_mean_spec,
     make_stream,
     spec_from_json,
-    spec_to_json,
 )
 from .spectral import (
     SpectralMeasure,
@@ -44,15 +44,17 @@ from .spectral import (
 from .processes import spectral_measure as measure_of
 from .walk import ResourceCapError, WalkConfig, blocked_increments, simulate, step
 
-PROCESS_NAMES = (
-    "iid-rademacher",
-    "iid-complex-gaussian",
-    "iid-uniform-circle",
-    "golden-mean-parry",
-    "rotation-default",
-)
-
-EXAMPLE_NAMES = ("gaussian-transient", "sofic-recurrent", "rotation-singular", "rational-block")
+#: named processes; golden-mean stays a factory so that its chain comes
+#: from parry_chain, not from floats copied into the source
+PROCESSES = {
+    "iid-rademacher": functools.partial(IID, "rademacher"),
+    "iid-complex-gaussian": functools.partial(IID, "complex-gaussian"),
+    "iid-uniform-circle": functools.partial(IID, "uniform-circle"),
+    "golden-mean-parry": golden_mean_spec,
+    "rotation-default": functools.partial(Rotation, alpha=math.sqrt(2.0),
+                                          fourier=((1, 0.8), (2, 0.6))),
+}
+PROCESS_NAMES = tuple(PROCESSES)
 
 _BETA_TOKEN = re.compile(r"^2pi\*(-?\d+)/(\d+)$")
 
@@ -81,20 +83,12 @@ def beta_token(beta: Angle) -> str:
 
 def build_process(name_or_path: str, field: str = "real", n_max: int | None = None):
     """Resolve a named process or a JSON spec file."""
-    if name_or_path == "iid-rademacher":
-        return IID("rademacher")
-    if name_or_path == "iid-complex-gaussian":
-        return IID("complex-gaussian")
-    if name_or_path == "iid-uniform-circle":
-        return IID("uniform-circle")
-    if name_or_path == "golden-mean-parry":
-        return golden_mean_spec()
-    if name_or_path == "rotation-default":
-        return Rotation(alpha=math.sqrt(2.0), fourier=((1, 0.8), (2, 0.6)))
+    if name_or_path in PROCESSES:
+        return PROCESSES[name_or_path]()
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
         doc = json.loads(path.read_text())
-        if doc.get("kind") == "gaussian-spectral":
+        if isinstance(doc, dict) and doc.get("kind") == "gaussian-spectral":
             doc.setdefault("field", field)
             if "window" not in doc and n_max is not None:
                 doc["window"] = n_max
@@ -248,7 +242,7 @@ def cmd_simulate(args) -> int:
         "schema": 1,
         "version": __version__,
         "command": "simulate",
-        "process": spec_to_json(spec),
+        "process": spec.to_json(),
         "walk": {
             "beta": beta_token(beta),
             "n_max": args.n_max,
@@ -287,7 +281,7 @@ def cmd_spectral(args) -> int:
         "schema": 1,
         "version": __version__,
         "command": "spectral",
-        "process": spec_to_json(spec),
+        "process": spec.to_json(),
         "betas": [float(b) for b in betas],
         "ns": [int(n) for n in ns],
     }
@@ -296,8 +290,11 @@ def cmd_spectral(args) -> int:
     pred = np.empty((ns.size, betas.size))
     conv = np.empty_like(pred)
     for i, n in enumerate(ns):
+        # one sequence per n: the grid refinement of covariance_from_measure
+        # depends on the largest lag, so a longer one moves singular curves
+        r = spec.covariance_sequence(int(n) - 1)
         for j, b in enumerate(betas):
-            pred[i, j] = predicted_variance(spec, b, int(n))
+            pred[i, j] = predicted_variance(r, b, int(n))
             conv[i, j] = spectral_convolve(measure, int(n), b)
     rel = np.abs(pred - conv) / np.maximum(np.abs(conv), 1e-30)
     curve = VarianceCurve(ns, betas, pred, header={
@@ -315,67 +312,57 @@ def cmd_spectral(args) -> int:
 # -- named example reproductions --------------------------------------------
 
 
+#: named experiments: the process of a run (from its walk block), the walk
+#: block before overrides, and the bootstrap resamples.  The transient
+#: example puts its spectral singularity at the twist angle.
+EXAMPLES = {
+    "gaussian-transient": (
+        lambda walk: GaussianSpectral(SpectralMeasure.singular_half_power(float(walk["beta"])),
+                                      window=walk["n_max"]),
+        dict(beta="2.0", n_max=8192, replicas=100_000, seed=20260808,
+             eta_grid=[0.1, 0.2, 0.3, 0.5], dense_counts=True),
+        100,
+    ),
+    "sofic-recurrent": (
+        lambda walk: PROCESSES["golden-mean-parry"](),
+        dict(beta="1.0", n_max=4096, replicas=20_000, seed=7,
+             eta_grid=[0.1, 0.2, 0.3, 0.5], dense_counts=True),
+        100,
+    ),
+    "rotation-singular": (
+        lambda walk: PROCESSES["rotation-default"](),
+        dict(beta="2.2", n_max=16384, replicas=1000, seed=11,
+             eta_grid=[0.05, 0.1, 0.2, 0.3, 0.5], dense_counts=False),
+        100,
+    ),
+    "rational-block": (
+        lambda walk: PROCESSES["iid-complex-gaussian"](),
+        dict(beta="2pi*2/5", n_max=4000, replicas=2000, seed=5,
+             eta_grid=[0.1, 0.2, 0.3, 0.5], dense_counts=True),
+        0,
+    ),
+}
+EXAMPLE_NAMES = tuple(EXAMPLES)
+
+
 def example_manifest(name: str, replicas: int | None = None, n_max: int | None = None,
                      seed: int | None = None, budget_s: float | None = None) -> dict:
     """Canonical manifest for a named experiment, with optional overrides."""
-    n_boot = 100
-    if name == "gaussian-transient":
-        beta0 = 2.0
-        n_max = n_max or 8192
-        spec = GaussianSpectral(SpectralMeasure.singular_half_power(beta0), window=n_max, field="real")
-        walk = {
-            "beta": repr(beta0),
-            "n_max": n_max,
-            "checkpoints": "geometric",
-            "replicas": replicas or 100_000,
-            "seed": seed if seed is not None else 20260808,
-            "eta_grid": [0.1, 0.2, 0.3, 0.5],
-            "dense_counts": True,
-        }
-    elif name == "sofic-recurrent":
-        spec = golden_mean_spec()
-        n_max = n_max or 4096
-        walk = {
-            "beta": repr(1.0),
-            "n_max": n_max,
-            "checkpoints": "geometric",
-            "replicas": replicas or 20_000,
-            "seed": seed if seed is not None else 7,
-            "eta_grid": [0.1, 0.2, 0.3, 0.5],
-            "dense_counts": True,
-        }
-    elif name == "rotation-singular":
-        spec = Rotation(alpha=math.sqrt(2.0), fourier=((1, 0.8), (2, 0.6)))
-        n_max = n_max or 16384
-        walk = {
-            "beta": repr(2.2),
-            "n_max": n_max,
-            "checkpoints": "geometric",
-            "replicas": replicas or 1000,
-            "seed": seed if seed is not None else 11,
-            "eta_grid": [0.05, 0.1, 0.2, 0.3, 0.5],
-            "dense_counts": False,
-        }
-    elif name == "rational-block":
-        spec = IID("complex-gaussian")
-        n_max = n_max or 4000
-        walk = {
-            "beta": "2pi*2/5",
-            "n_max": n_max,
-            "checkpoints": "geometric",
-            "replicas": replicas or 2000,
-            "seed": seed if seed is not None else 5,
-            "eta_grid": [0.1, 0.2, 0.3, 0.5],
-            "dense_counts": True,
-        }
-        n_boot = 0
-    else:
+    if name not in EXAMPLES:
         raise ConfigError(f"unknown example {name!r}; choose from: {', '.join(EXAMPLE_NAMES)}")
+    process, defaults, n_boot = EXAMPLES[name]
+    walk = {
+        **defaults,
+        "checkpoints": "geometric",
+        "n_max": n_max or defaults["n_max"],
+        "replicas": replicas or defaults["replicas"],
+        "seed": defaults["seed"] if seed is None else seed,
+    }
     return {
         "schema": 1,
         "version": __version__,
         "command": f"example:{name}",
-        "process": spec_to_json(spec),
+        "process": process(walk).to_json(),
         "walk": walk,
         "diagnostics": {"n_boot": n_boot},
         "budget_s": budget_s,

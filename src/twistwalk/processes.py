@@ -1,5 +1,8 @@
 """Stationary increment processes with known covariance and mixing structure.
 
+Each family is one spec class derived from :class:`ProcessFamily`, the only
+place that knows its JSON kind, covariances, spectral measure, batch state
+and batch size; the engine and the predictor reach it only through these.
 Five families cover the example classes the diagnostics are aimed at:
 
 * ``IID`` -- independent increments (complex Gaussian / Rademacher /
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,8 +80,46 @@ def make_generator(seed: int, replica: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+class ProcessFamily:
+    """Base of the process specs.  ``class Foo(ProcessFamily, kind="foo")``
+    registers a family for :func:`spec_from_json`; it defines
+    ``_covariances(ks)`` (complex r[k] at ks = 0..k_max), ``spectral_measure``,
+    ``batch_state(gens, embedding=None)`` (whose ``emit(count)`` gives the
+    next values of one stream per generator), ``to_json`` (``kind``
+    included) and the classmethod ``from_json``.
+    """
+
+    #: replicas per engine batch unless the run sets its own batch size
+    BATCH_SIZE: ClassVar[int] = 8192
+    _families: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, kind: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
+        ProcessFamily._families[kind] = cls
+
+    def covariance_sequence(self, k_max: int) -> CovarianceSequence:
+        """Closed-form r[k] = E(X_k conj(X_0)) for k = 0..k_max."""
+        k_max = int(k_max)
+        if k_max < 0:
+            raise ValueError("k_max must be >= 0")
+        return CovarianceSequence(self._covariances(np.arange(k_max + 1)))
+
+    def embedding_args(self, n_max: int):
+        """``(measure, window)`` the engine embeds once per run of ``n_max``
+        steps and hands to every batch state, or None."""
+        return None
+
+    @property
+    def dependence_range(self) -> int:
+        """The lag beyond which increments are exactly independent."""
+        raise SpecError(f"{self.kind} specs have no finite dependence range")
+
+
 @dataclass(frozen=True)
-class IID:
+class IID(ProcessFamily, kind="iid"):
+    dependence_range = 0
+
     law: str = "complex-gaussian"
     variance: float = 1.0
 
@@ -89,9 +131,27 @@ class IID:
         if not (self.variance > 0.0):
             raise SpecError("variance must be positive")
 
+    def _covariances(self, ks):
+        r = np.zeros(ks.size, dtype=complex)
+        r[0] = self.variance
+        return r
+
+    def spectral_measure(self, grid_size=GRID_SIZE_DEFAULT):
+        return SpectralMeasure.flat(self.variance, grid_size)
+
+    def batch_state(self, gens, embedding=None):
+        return _IIDState(self, gens)
+
+    def to_json(self):
+        return {"kind": self.kind, "law": self.law, "variance": self.variance}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(doc.get("law", "complex-gaussian"), doc.get("variance", 1.0))
+
 
 @dataclass(frozen=True)
-class MovingAverage:
+class MovingAverage(ProcessFamily, kind="ma"):
     """X_k = sum_j coeffs[j] * eps_{k-j} with eps i.i.d. standard normal."""
 
     coeffs: tuple
@@ -106,9 +166,31 @@ class MovingAverage:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    dependence_range = order
+
+    def _covariances(self, ks):
+        th = np.asarray(self.coeffs, dtype=complex)
+        r = np.zeros(ks.size, dtype=complex)
+        for k in range(min(ks.size - 1, self.order) + 1):
+            r[k] = np.sum(th[k:] * np.conj(th[: th.size - k]))
+        return r
+
+    def spectral_measure(self, grid_size=GRID_SIZE_DEFAULT):
+        return SpectralMeasure.from_covariance(self.covariance_sequence(self.order).r, grid_size)
+
+    def batch_state(self, gens, embedding=None):
+        return _MAState(self, gens)
+
+    def to_json(self):
+        return {"kind": self.kind, "coeffs": [_complex_out(c) for c in self.coeffs]}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple(_complex_in(c) for c in _required(doc, "coeffs")))
+
 
 @dataclass
-class MarkovChain:
+class MarkovChain(ProcessFamily, kind="markov"):
     """Complex-valued function of a stationary finite Markov chain.
 
     Emits values[state] - mean when ``centered`` (the default), so the
@@ -150,9 +232,56 @@ class MarkovChain:
     def mean(self) -> complex:
         return complex(self.stationary @ self.values)
 
+    def _covariances(self, ks):
+        d = self.values - self.mean if self.centered else self.values
+        w = self.stationary * np.conj(d)
+        r = np.empty(ks.size, dtype=complex)
+        u = d.copy()
+        for k in range(ks.size):
+            r[k] = w @ u
+            u = self.transition @ u
+        return r
+
+    def spectral_measure(self, grid_size=GRID_SIZE_DEFAULT):
+        if not self.centered:
+            raise SpecError("spectral measure of an uncentered chain has a mean atom; center it")
+        r0 = covariance(self, 0)
+        k = 16
+        while k < 4096:
+            r = self.covariance_sequence(k).r
+            if abs(r[-1]) < 1e-16 * max(abs(r0), 1e-30):
+                break
+            k *= 2
+        return SpectralMeasure.from_covariance(r, grid_size)
+
+    def batch_state(self, gens, embedding=None):
+        return _MarkovState(self, gens)
+
+    def to_json(self):
+        return {
+            "kind": self.kind,
+            "transition": self.transition.tolist(),
+            "stationary": self.stationary.tolist(),
+            "values": [_complex_out(v) for v in self.values],
+            "centered": self.centered,
+        }
+
+    @classmethod
+    def from_json(cls, doc):
+        """``stationary`` may be left out: it is then solved from ``transition``."""
+        P = np.asarray(_required(doc, "transition"), dtype=float)
+        if "stationary" in doc:
+            pi = np.asarray(doc["stationary"], dtype=float)
+        else:
+            evals, vecs = np.linalg.eig(P.T)
+            pi = vecs[:, int(np.argmax(evals.real))].real
+            pi = np.abs(pi) / np.abs(pi).sum()
+        vals = np.asarray([_complex_in(v) for v in _required(doc, "values")])
+        return cls(P, pi, vals, centered=doc.get("centered", True))
+
 
 @dataclass
-class GaussianSpectral:
+class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
     """Stationary Gaussian process with prescribed spectral measure.
 
     ``field="real"`` symmetrizes the measure at construction (a real process
@@ -160,6 +289,9 @@ class GaussianSpectral:
     ``field="complex"`` emits a proper complex Gaussian process from the
     measure as given.  The stream realizes exactly ``window`` values.
     """
+
+    # one batch holds a path of the whole circulant embedding per replica
+    BATCH_SIZE = 512
 
     measure: SpectralMeasure
     window: int
@@ -176,9 +308,64 @@ class GaussianSpectral:
         if self.field == "real":
             self.measure = self.measure.symmetrized()
 
+    def _covariances(self, ks):
+        r = covariance_from_measure(self.measure, ks)
+        if self.field == "real":
+            if np.abs(r.imag).max() > 1e-9 * max(1.0, abs(r[0])):
+                raise SpecError("real-field measure produced complex covariances")
+            r = r.real.astype(complex)
+        return r
+
+    def spectral_measure(self, grid_size=GRID_SIZE_DEFAULT):
+        return self.measure
+
+    def batch_state(self, gens, embedding=None):
+        return _GaussianSpectralState(self, gens, embedding)
+
+    def embedding_args(self, n_max):
+        if self.window < n_max:
+            raise ValueError(
+                f"gaussian-spectral window {self.window} is shorter than n_max {n_max}"
+            )
+        return self.measure, self.window
+
+    def to_json(self):
+        m = self.measure
+        out = {
+            "kind": self.kind,
+            "window": self.window,
+            "field": self.field,
+            "atoms": [[w, mass] for w, mass in m.atoms],
+        }
+        if m.singularities:
+            out["singularities"] = [[s.center, s.coeff] for s in m.singularities]
+        out["density"] = m.density.tolist()
+        return out
+
+    @classmethod
+    def from_json(cls, doc):
+        """The density may be a grid array or one of the closed-form names
+        ``"flat"`` (with ``mass``) and ``"singular-half-power"`` (with
+        ``beta0``)."""
+        dens = doc.get("density", "flat")
+        grid = int(doc.get("grid_size", GRID_SIZE_DEFAULT))
+        atoms = tuple((float(w), float(mass)) for w, mass in doc.get("atoms", ()))
+        if dens == "flat":
+            m = SpectralMeasure(np.full(grid, float(doc.get("mass", 1.0))), atoms=atoms)
+        elif dens == "singular-half-power":
+            m = SpectralMeasure.singular_half_power(float(_required(doc, "beta0")), grid)
+            if atoms:
+                m = SpectralMeasure(m.density, atoms=atoms, singularities=m.singularities)
+        else:
+            sings = tuple(
+                HalfPowerSingularity(c, co) for c, co in doc.get("singularities", ())
+            )
+            m = SpectralMeasure(np.asarray(dens, dtype=float), atoms=atoms, singularities=sings)
+        return cls(m, int(_required(doc, "window")), doc.get("field", "real"))
+
 
 @dataclass(frozen=True)
-class Rotation:
+class Rotation(ProcessFamily, kind="rotation"):
     """X_k = g(theta0 + k*alpha) with g a trigonometric polynomial.
 
     theta0 is uniform on the circle (drawn once per stream), alpha is a
@@ -198,91 +385,46 @@ class Rotation:
             raise SpecError("rotation process needs at least one Fourier coefficient")
         object.__setattr__(self, "fourier", items)
 
+    def _covariances(self, ks):
+        r = np.zeros(ks.size, dtype=complex)
+        for j, c in self.fourier:
+            r += (abs(c) ** 2) * np.exp(1j * ks * j * self.alpha)
+        return r
 
-ProcessSpec = (IID, MovingAverage, MarkovChain, GaussianSpectral, Rotation)
+    def spectral_measure(self, grid_size=GRID_SIZE_DEFAULT):
+        masses: dict = {}
+        for j, c in self.fourier:
+            w = float(np.mod(j * self.alpha, TWO_PI))
+            masses[w] = masses.get(w, 0.0) + abs(c) ** 2
+        return SpectralMeasure(np.zeros(grid_size), atoms=tuple(sorted(masses.items())))
 
+    def batch_state(self, gens, embedding=None):
+        return _RotationState(self, gens)
 
-# ---------------------------------------------------------------------------
-# closed-form covariance
-# ---------------------------------------------------------------------------
+    def to_json(self):
+        return {
+            "kind": self.kind,
+            "alpha": self.alpha,
+            "fourier": {str(j): _complex_out(c) for j, c in self.fourier},
+        }
 
-
-def covariance_sequence(spec, k_max: int) -> CovarianceSequence:
-    """Closed-form r[k] = E(X_k conj(X_0)) for k = 0..k_max."""
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    ks = np.arange(k_max + 1)
-    if isinstance(spec, IID):
-        r = np.zeros(k_max + 1, dtype=complex)
-        r[0] = spec.variance if spec.law == "complex-gaussian" else 1.0
-        return CovarianceSequence(r)
-    if isinstance(spec, MovingAverage):
-        th = np.asarray(spec.coeffs, dtype=complex)
-        r = np.zeros(k_max + 1, dtype=complex)
-        for k in range(min(k_max, spec.order) + 1):
-            r[k] = np.sum(th[k:] * np.conj(th[: th.size - k]))
-        return CovarianceSequence(r)
-    if isinstance(spec, MarkovChain):
-        d = spec.values - spec.mean if spec.centered else spec.values
-        w = spec.stationary * np.conj(d)
-        r = np.empty(k_max + 1, dtype=complex)
-        u = d.copy()
-        for k in range(k_max + 1):
-            r[k] = w @ u
-            u = spec.transition @ u
-        return CovarianceSequence(r)
-    if isinstance(spec, GaussianSpectral):
-        r = covariance_from_measure(spec.measure, ks)
-        if spec.field == "real":
-            if np.abs(r.imag).max() > 1e-9 * max(1.0, abs(r[0])):
-                raise SpecError("real-field measure produced complex covariances")
-            r = r.real.astype(complex)
-        return CovarianceSequence(r)
-    if isinstance(spec, Rotation):
-        r = np.zeros(k_max + 1, dtype=complex)
-        for j, c in spec.fourier:
-            r += (abs(c) ** 2) * np.exp(1j * ks * j * spec.alpha)
-        return CovarianceSequence(r)
-    raise SpecError(f"unsupported spec type {type(spec).__name__}")
+    @classmethod
+    def from_json(cls, doc):
+        fourier = tuple((int(j), _complex_in(c)) for j, c in _required(doc, "fourier").items())
+        return cls(float(_required(doc, "alpha")), fourier)
 
 
-def covariance(spec, k: int) -> complex:
+def covariance(spec: ProcessFamily, k: int) -> complex:
     """Closed-form covariance at a single lag k >= 0."""
     if k < 0:
         raise ValueError("negative lag: use conjugate symmetry at the call site")
-    return complex(covariance_sequence(spec, k).r[k])
+    return complex(spec.covariance_sequence(k).r[k])
 
 
-def spectral_measure(spec, grid_size: int = GRID_SIZE_DEFAULT) -> SpectralMeasure:
+def spectral_measure(spec: ProcessFamily, grid_size: int = GRID_SIZE_DEFAULT) -> SpectralMeasure:
     """The spectral measure of the family, oriented so that
     covariance(spec, k) == integral exp(+ikx) dm(x)."""
-    if isinstance(spec, IID):
-        var = spec.variance if spec.law == "complex-gaussian" else 1.0
-        return SpectralMeasure.flat(var, grid_size)
-    if isinstance(spec, MovingAverage):
-        r = covariance_sequence(spec, spec.order).r
-        return SpectralMeasure.from_covariance(r, grid_size)
-    if isinstance(spec, MarkovChain):
-        if not spec.centered:
-            raise SpecError("spectral measure of an uncentered chain has a mean atom; center it")
-        r0 = covariance(spec, 0)
-        k = 16
-        while k < 4096:
-            r = covariance_sequence(spec, k).r
-            if abs(r[-1]) < 1e-16 * max(abs(r0), 1e-30):
-                break
-            k *= 2
-        return SpectralMeasure.from_covariance(r, grid_size)
-    if isinstance(spec, GaussianSpectral):
-        return spec.measure
-    if isinstance(spec, Rotation):
-        masses: dict = {}
-        for j, c in spec.fourier:
-            w = float(np.mod(j * spec.alpha, TWO_PI))
-            masses[w] = masses.get(w, 0.0) + abs(c) ** 2
-        return SpectralMeasure(np.zeros(grid_size), atoms=tuple(sorted(masses.items())))
-    raise SpecError(f"unsupported spec type {type(spec).__name__}")
+    return spec.spectral_measure(grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +626,9 @@ class _RotationState:
         return out.T
 
 
-def _batch_state(spec, gens, embedding=None):
-    if isinstance(spec, IID):
-        return _IIDState(spec, gens)
-    if isinstance(spec, MovingAverage):
-        return _MAState(spec, gens)
-    if isinstance(spec, MarkovChain):
-        return _MarkovState(spec, gens)
-    if isinstance(spec, GaussianSpectral):
-        return _GaussianSpectralState(spec, gens, embedding)
-    if isinstance(spec, Rotation):
-        return _RotationState(spec, gens)
-    raise SpecError(f"unsupported spec type {type(spec).__name__}")
+def _batch_state(spec: ProcessFamily, gens, embedding=None):
+    """The family's batch state; the engine builds every batch through this name."""
+    return spec.batch_state(gens, embedding)
 
 
 class IncrementStream:
@@ -509,7 +642,7 @@ class IncrementStream:
         self.spec = spec
         self.seed = int(seed)
         self.replica = int(replica)
-        self._state = _batch_state(spec, [make_generator(seed, replica)])
+        self._state = spec.batch_state([make_generator(seed, replica)])
         self._position = 0
 
     @property
@@ -530,7 +663,7 @@ class IncrementStream:
 
 def make_stream(spec, seed: int, replica: int = 0) -> IncrementStream:
     """Build a stream positioned at k = 0 (Markov chains start stationary)."""
-    if not isinstance(spec, ProcessSpec):
+    if not isinstance(spec, ProcessFamily):
         raise SpecError(f"not a process spec: {type(spec).__name__}")
     return IncrementStream(spec, seed, replica)
 
@@ -597,14 +730,6 @@ def golden_mean_spec(values=(1.0, -1.0), centered: bool = True) -> MarkovChain:
 # ---------------------------------------------------------------------------
 
 
-def dependence_range(spec) -> int:
-    if isinstance(spec, IID):
-        return 0
-    if isinstance(spec, MovingAverage):
-        return spec.order
-    raise SpecError("dependence range is only defined for IID and moving-average specs")
-
-
 def window_covariance_mc(spec, gap: int, f, g, window_f: int = 1, window_g: int = 1,
                          replicas: int = 100_000, seed: int = 0):
     """Monte Carlo estimate of E(fg) - E(f)E(g) with a standard error.
@@ -617,7 +742,7 @@ def window_covariance_mc(spec, gap: int, f, g, window_f: int = 1, window_g: int 
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
-    d = dependence_range(spec)
+    d = spec.dependence_range
     seg = window_f - 1 + gap + window_g
     stride = seg + d + 1
     x = make_stream(spec, seed).take(replicas * stride).reshape(replicas, stride)
@@ -638,7 +763,7 @@ def mixing_covariance_bound_check(spec, gap: int, f, g, window_f: int = 1, windo
     range, where the strong-mixing coefficient is exactly zero and the
     covariance bound forces independence; smaller gaps are rejected.
     """
-    d = dependence_range(spec)
+    d = spec.dependence_range
     if gap <= d:
         raise ValueError(f"gap {gap} is within the dependence range {d}; bound not applicable")
     cov, se = window_covariance_mc(spec, gap, f, g, window_f, window_g, replicas, seed)
@@ -661,79 +786,18 @@ def _complex_in(v) -> complex:
     return complex(v)
 
 
-def spec_to_json(spec) -> dict:
-    if isinstance(spec, IID):
-        return {"kind": "iid", "law": spec.law, "variance": spec.variance}
-    if isinstance(spec, MovingAverage):
-        return {"kind": "ma", "coeffs": [_complex_out(c) for c in spec.coeffs]}
-    if isinstance(spec, MarkovChain):
-        return {
-            "kind": "markov",
-            "transition": spec.transition.tolist(),
-            "stationary": spec.stationary.tolist(),
-            "values": [_complex_out(v) for v in spec.values],
-            "centered": spec.centered,
-        }
-    if isinstance(spec, GaussianSpectral):
-        m = spec.measure
-        out = {
-            "kind": "gaussian-spectral",
-            "window": spec.window,
-            "field": spec.field,
-            "atoms": [[w, mass] for w, mass in m.atoms],
-        }
-        if m.singularities:
-            out["singularities"] = [[s.center, s.coeff] for s in m.singularities]
-        out["density"] = m.density.tolist()
-        return out
-    if isinstance(spec, Rotation):
-        return {
-            "kind": "rotation",
-            "alpha": spec.alpha,
-            "fourier": {str(j): _complex_out(c) for j, c in spec.fourier},
-        }
-    raise SpecError(f"unsupported spec type {type(spec).__name__}")
+def _required(doc: dict, key: str):
+    if key not in doc:
+        raise SpecError(f"{doc.get('kind')} spec is missing {key!r}")
+    return doc[key]
 
 
-def spec_from_json(doc: dict):
-    """Parse the documented JSON wire format into a process spec.
-
-    Gaussian-spectral densities may be given as the closed-form names
-    ``"flat"`` (with ``mass``) or ``"singular-half-power"`` (with ``beta0``)
-    instead of a grid array.
-    """
+def spec_from_json(doc) -> ProcessFamily:
+    """Parse the documented JSON wire format into a process spec; the
+    object's ``kind`` selects the family."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"a process spec is a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "iid":
-        return IID(doc.get("law", "complex-gaussian"), doc.get("variance", 1.0))
-    if kind == "ma":
-        return MovingAverage(tuple(_complex_in(c) for c in doc["coeffs"]))
-    if kind == "markov":
-        P = np.asarray(doc["transition"], dtype=float)
-        if "stationary" in doc:
-            pi = np.asarray(doc["stationary"], dtype=float)
-        else:
-            evals, vecs = np.linalg.eig(P.T)
-            pi = vecs[:, int(np.argmax(evals.real))].real
-            pi = np.abs(pi) / np.abs(pi).sum()
-        vals = np.asarray([_complex_in(v) for v in doc["values"]])
-        return MarkovChain(P, pi, vals, centered=doc.get("centered", True))
-    if kind == "gaussian-spectral":
-        dens = doc.get("density", "flat")
-        grid = int(doc.get("grid_size", GRID_SIZE_DEFAULT))
-        atoms = tuple((float(w), float(mass)) for w, mass in doc.get("atoms", ()))
-        if dens == "flat":
-            m = SpectralMeasure(np.full(grid, float(doc.get("mass", 1.0))), atoms=atoms)
-        elif dens == "singular-half-power":
-            m = SpectralMeasure.singular_half_power(float(doc["beta0"]), grid)
-            if atoms:
-                m = SpectralMeasure(m.density, atoms=atoms, singularities=m.singularities)
-        else:
-            sings = tuple(
-                HalfPowerSingularity(c, co) for c, co in doc.get("singularities", ())
-            )
-            m = SpectralMeasure(np.asarray(dens, dtype=float), atoms=atoms, singularities=sings)
-        return GaussianSpectral(m, int(doc["window"]), doc.get("field", "real"))
-    if kind == "rotation":
-        fourier = tuple((int(j), _complex_in(c)) for j, c in doc["fourier"].items())
-        return Rotation(float(doc["alpha"]), fourier)
-    raise SpecError(f"unknown process kind {kind!r}")
+    if not isinstance(kind, str) or kind not in ProcessFamily._families:
+        raise SpecError(f"unknown process kind {kind!r}")
+    return ProcessFamily._families[kind].from_json(doc)

@@ -321,9 +321,7 @@ def _resolve_covariances(r_or_spec, n: int) -> np.ndarray:
         # can catch inconsistent data instead of rejecting it silently here
         r = r_or_spec.astype(complex)
     else:
-        from . import processes  # deferred: processes imports this module
-
-        return processes.covariance_sequence(r_or_spec, n - 1).r
+        return r_or_spec.covariance_sequence(n - 1).r
     if r.size < n:
         raise SpectralError(
             f"need covariances up to lag {n - 1}, sequence stops at lag {r.size - 1}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import Angle, as_angle
-from .processes import GaussianSpectral, _SpectralEmbedding, _batch_state, make_generator
+from .processes import _SpectralEmbedding, _batch_state, make_generator
 
 TWO_PI = 2.0 * math.pi
 
@@ -343,12 +343,7 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
 
 
 def _batch_plan(spec, cfg: WalkConfig):
-    if cfg.batch_size is not None:
-        size = int(cfg.batch_size)
-    elif isinstance(spec, GaussianSpectral):
-        size = 512
-    else:
-        size = 8192
+    size = spec.BATCH_SIZE if cfg.batch_size is None else int(cfg.batch_size)
     size = max(1, min(size, cfg.replicas))
     return [(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
 
@@ -366,13 +361,8 @@ def simulate(spec, cfg: WalkConfig) -> CheckpointEnsemble:
             f"replicas * n_max = {cfg.replicas * cfg.n_max} exceeds the cap "
             f"{cfg.resource_cap}; raise resource_cap explicitly to proceed"
         )
-    embedding = None
-    if isinstance(spec, GaussianSpectral):
-        if spec.window < cfg.n_max:
-            raise ValueError(
-                f"gaussian-spectral window {spec.window} is shorter than n_max {cfg.n_max}"
-            )
-        embedding = _SpectralEmbedding(spec.measure, spec.window)
+    embedding_args = spec.embedding_args(cfg.n_max)
+    embedding = _SpectralEmbedding(*embedding_args) if embedding_args else None
 
     batches = _batch_plan(spec, cfg)
     t0 = time.monotonic()

@@ -122,6 +122,21 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "ma"}, "coeffs"),
+        ({"kind": "rotation", "alpha": 1.0}, "fourier"),
+        ({"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]]}, "values"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_malformed_spec_file_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--process", str(path), "--beta", "1.0", "--n-max", "16",
+                   "--replicas", "4", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_budget_exceeded_exit_3(self, tmp_path):
         # more replicas than one engine batch, so a zero budget stops midway
         out = tmp_path / "budget"

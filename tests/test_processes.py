@@ -14,14 +14,11 @@ from twistwalk.processes import (
     SpecError,
     StreamExhausted,
     covariance,
-    covariance_sequence,
-    dependence_range,
     golden_mean_spec,
     make_stream,
     mixing_covariance_bound_check,
     parry_chain,
     spec_from_json,
-    spec_to_json,
     window_covariance_mc,
 )
 from twistwalk.spectral import SpectralMeasure
@@ -136,7 +133,7 @@ class TestCovariance:
         mu = 1 / math.sqrt(5)  # pi_a - pi_b
         assert covariance(spec, 0).real == pytest.approx(1 - mu ** 2, rel=1e-12)
         lam2 = -1 / PHI ** 2
-        r = covariance_sequence(spec, 8).r.real
+        r = spec.covariance_sequence(8).r.real
         for k in range(9):
             assert r[k] == pytest.approx(0.8 * lam2 ** k, rel=1e-10)
 
@@ -152,7 +149,7 @@ class TestCovariance:
         per = np.array(per)
         r_hat = per.mean(axis=0)
         se = per.std(axis=0, ddof=1) / math.sqrt(reps)
-        r = covariance_sequence(spec, 8).r
+        r = spec.covariance_sequence(8).r
         for k in range(9):
             expect = (1 - k / length) * r[k]
             assert abs(r_hat[k] - expect) <= 3 * max(se[k], 1e-12), k
@@ -181,7 +178,7 @@ class TestCovarianceConsistency:
             per[rep] = [np.sum(x[k:] * np.conj(x[: length - k])) / length for k in range(k_max + 1)]
         mean = per.mean(axis=0)
         se = per.std(axis=0, ddof=1) / math.sqrt(reps)
-        r = covariance_sequence(spec, k_max).r
+        r = spec.covariance_sequence(k_max).r
         for k in range(k_max + 1):
             expect = (1 - k / length) * r[k]
             assert abs(mean[k] - expect) <= 3 * se[k] + 1e-9, (name, k)
@@ -284,7 +281,7 @@ class TestGaussianSpectral:
 
     def test_real_field_symmetrizes(self):
         spec = GaussianSpectral(SpectralMeasure.singular_half_power(2.0), window=16, field="real")
-        r = covariance_sequence(spec, 4).r
+        r = spec.covariance_sequence(4).r
         assert np.abs(r.imag).max() < 1e-12
         x = make_stream(spec, 3).take(16)
         assert np.all(x.imag == 0)
@@ -317,22 +314,34 @@ class TestMixing:
         assert abs(cov) > 4 * se
 
     def test_dependence_range(self):
-        assert dependence_range(IID("rademacher")) == 0
-        assert dependence_range(MovingAverage((1, 0.5, 0.1))) == 2
+        assert IID("rademacher").dependence_range == 0
+        assert MovingAverage((1, 0.5, 0.1)).dependence_range == 2
         with pytest.raises(SpecError):
-            dependence_range(golden_mean_spec())
+            golden_mean_spec().dependence_range
+
+
+def _real_gaussian_with_atom():
+    m = SpectralMeasure(np.full(64, 0.5), atoms=((0.7, 1.0),))
+    return GaussianSpectral(m, window=128, field="real")
 
 
 class TestJsonWireFormat:
-    @pytest.mark.parametrize("name", list(family_specs()))
+    @pytest.mark.parametrize("name", [
+        *family_specs(),
+        pytest.param("gauss-real-atom", marks=pytest.mark.xfail(
+            strict=True, reason="a real-field spec symmetrizes its measure again on every "
+                                "parse, so atoms split in two and the stream moves")),
+    ])
     def test_roundtrip(self, name):
-        spec = family_specs()[name]
-        doc = spec_to_json(spec)
+        spec = family_specs()[name] if name in family_specs() else _real_gaussian_with_atom()
+        doc = spec.to_json()
         back = spec_from_json(doc)
         assert type(back) is type(spec)
+        # the wire form is a fixed point of parse-then-write
+        assert back.to_json() == doc
         a = make_stream(spec, 12).take(64)
         b = make_stream(back, 12).take(64)
-        assert np.allclose(a, b, atol=1e-12)
+        assert np.array_equal(a, b)
 
     def test_closed_form_density_names(self):
         doc = {"kind": "gaussian-spectral", "density": "singular-half-power",
@@ -352,3 +361,21 @@ class TestJsonWireFormat:
     def test_unknown_kind(self):
         with pytest.raises(SpecError):
             spec_from_json({"kind": "levy"})
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "ma"}, "coeffs"),
+        ({"kind": "markov", "values": [1, -1]}, "transition"),
+        ({"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]]}, "values"),
+        ({"kind": "gaussian-spectral", "density": "flat"}, "window"),
+        ({"kind": "gaussian-spectral", "density": "singular-half-power", "window": 32}, "beta0"),
+        ({"kind": "rotation", "alpha": 1.0}, "fourier"),
+        ({"kind": "rotation", "fourier": {"1": 1.0}}, "alpha"),
+    ])
+    def test_missing_key_is_named(self, doc, key):
+        with pytest.raises(SpecError, match=repr(key)):
+            spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "iid", None, {"kind": ["iid"]}])
+    def test_document_must_be_an_object_with_a_known_kind(self, doc):
+        with pytest.raises(SpecError):
+            spec_from_json(doc)
