@@ -35,6 +35,7 @@ callers must not assume C order or write into it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -71,8 +72,31 @@ def derive_key(seed: int, replica: int = 0) -> int:
     return ((int(seed) & (2 ** 64 - 1)) << 64) | (int(replica) & (2 ** 64 - 1))
 
 
-def make_generator(seed: int, replica: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, replica)))
+_PHILOX_ZEROS = (0, 0, 0, 0)
+
+
+def make_generator(seed: int, replica: int = 0, reuse=None) -> np.random.Generator:
+    """The Philox generator of (seed, replica).
+
+    ``reuse``, a generator over Philox, is re-keyed in place and returned
+    instead of building a new one.  Philox is counter-based, so a stream
+    depends only on its key and counter: key (seed, replica), counter 0 and
+    an empty output buffer give the same stream as a fresh generator,
+    whatever state ``reuse`` was left in.
+    """
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=derive_key(seed, replica)))
+    mask = 2 ** 64 - 1
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        # derive_key's 128-bit key as its low and high 64-bit words
+        "state": {"counter": _PHILOX_ZEROS, "key": (int(replica) & mask, int(seed) & mask)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +171,7 @@ class IID(ProcessFamily, kind="iid"):
 
     @classmethod
     def from_json(cls, doc):
-        return cls(doc.get("law", "complex-gaussian"), doc.get("variance", 1.0))
+        return cls(doc.get("law", "complex-gaussian"), _read(doc, "variance", _number, 1.0))
 
 
 @dataclass(frozen=True)
@@ -186,7 +210,7 @@ class MovingAverage(ProcessFamily, kind="ma"):
 
     @classmethod
     def from_json(cls, doc):
-        return cls(tuple(_complex_in(c) for c in _required(doc, "coeffs")))
+        return cls(tuple(_read(doc, "coeffs", _complexes)))
 
 
 @dataclass
@@ -269,14 +293,14 @@ class MarkovChain(ProcessFamily, kind="markov"):
     @classmethod
     def from_json(cls, doc):
         """``stationary`` may be left out: it is then solved from ``transition``."""
-        P = np.asarray(_required(doc, "transition"), dtype=float)
+        P = _read(doc, "transition", _floats)
         if "stationary" in doc:
-            pi = np.asarray(doc["stationary"], dtype=float)
+            pi = _read(doc, "stationary", _floats)
         else:
             evals, vecs = np.linalg.eig(P.T)
             pi = vecs[:, int(np.argmax(evals.real))].real
             pi = np.abs(pi) / np.abs(pi).sum()
-        vals = np.asarray([_complex_in(v) for v in _required(doc, "values")])
+        vals = np.asarray(_read(doc, "values", _complexes))
         return cls(P, pi, vals, centered=doc.get("centered", True))
 
 
@@ -348,20 +372,19 @@ class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
         ``"flat"`` (with ``mass``) and ``"singular-half-power"`` (with
         ``beta0``)."""
         dens = doc.get("density", "flat")
-        grid = int(doc.get("grid_size", GRID_SIZE_DEFAULT))
-        atoms = tuple((float(w), float(mass)) for w, mass in doc.get("atoms", ()))
+        grid = _read(doc, "grid_size", int, GRID_SIZE_DEFAULT)
+        atoms = _read(doc, "atoms", _pairs(float), ())
         if dens == "flat":
-            m = SpectralMeasure(np.full(grid, float(doc.get("mass", 1.0))), atoms=atoms)
+            m = SpectralMeasure(np.full(grid, _read(doc, "mass", float, 1.0)), atoms=atoms)
         elif dens == "singular-half-power":
-            m = SpectralMeasure.singular_half_power(float(_required(doc, "beta0")), grid)
+            m = SpectralMeasure.singular_half_power(_read(doc, "beta0", float), grid)
             if atoms:
                 m = SpectralMeasure(m.density, atoms=atoms, singularities=m.singularities)
         else:
-            sings = tuple(
-                HalfPowerSingularity(c, co) for c, co in doc.get("singularities", ())
-            )
-            m = SpectralMeasure(np.asarray(dens, dtype=float), atoms=atoms, singularities=sings)
-        return cls(m, int(_required(doc, "window")), doc.get("field", "real"))
+            sings = tuple(HalfPowerSingularity(c, co)
+                          for c, co in _read(doc, "singularities", _pairs(_number), ()))
+            m = SpectralMeasure(_read(doc, "density", _floats), atoms=atoms, singularities=sings)
+        return cls(m, _read(doc, "window", int), doc.get("field", "real"))
 
 
 @dataclass(frozen=True)
@@ -410,8 +433,7 @@ class Rotation(ProcessFamily, kind="rotation"):
 
     @classmethod
     def from_json(cls, doc):
-        fourier = tuple((int(j), _complex_in(c)) for j, c in _required(doc, "fourier").items())
-        return cls(float(_required(doc, "alpha")), fourier)
+        return cls(_read(doc, "alpha", float), _read(doc, "fourier", _harmonics))
 
 
 def covariance(spec: ProcessFamily, k: int) -> complex:
@@ -782,14 +804,55 @@ def _complex_out(z: complex):
 
 def _complex_in(v) -> complex:
     if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
+        re, im = v
+        return complex(re, im)
     return complex(v)
 
 
-def _required(doc: dict, key: str):
+# parsers of one JSON value, for _read
+
+
+def _number(v):
+    """``v`` itself, if it is a number."""
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
+def _complexes(v) -> list:
+    return [_complex_in(c) for c in v]
+
+
+def _pairs(parse):
+    return lambda v: tuple((parse(a), parse(b)) for a, b in v)
+
+
+def _harmonics(v) -> tuple:
+    return tuple((int(j), _complex_in(c)) for j, c in v.items())
+
+
+_REQUIRED = object()
+
+
+def _read(doc: dict, key: str, parse, default=_REQUIRED):
+    """``parse(doc[key])``, or ``default`` when the key is absent and optional.
+
+    A value ``parse`` cannot take raises SpecError naming the key.  Only the
+    parse runs under the ``except``: the family's own validation, and any
+    fault past it, keep their own exceptions.
+    """
     if key not in doc:
-        raise SpecError(f"{doc.get('kind')} spec is missing {key!r}")
-    return doc[key]
+        if default is _REQUIRED:
+            raise SpecError(f"{doc.get('kind')} spec is missing {key!r}")
+        return default
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SpecError(f"{doc.get('kind')} spec key {key!r}: {exc}") from exc
 
 
 def spec_from_json(doc) -> ProcessFamily:

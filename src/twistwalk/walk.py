@@ -25,13 +25,16 @@ only the bootstrap noise floors.
 Replicas are embarrassingly parallel.  Replica r draws from a counter-based
 generator keyed by (seed, r); replicas are processed in fixed-size batches
 and all reductions run in batch order, so the worker count can never change
-any output bit.
+any output bit.  Each thread keeps a pool of generators and re-keys them for
+every batch it runs, which gives the same streams as building new ones, so
+generator reuse cannot change any bit either.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +57,9 @@ ECF_BLOCK = 2 * ECF_POINTS_PER_RAY
 #: at most BLOCK_STEPS steps, before reducing them
 BLOCK_VALUES = 1 << 16
 BLOCK_STEPS = 256
+
+#: each thread's generators, re-keyed for every batch it runs
+_POOL = threading.local()
 
 
 class ResourceCapError(RuntimeError):
@@ -261,9 +267,19 @@ class _BatchAccumulator:
         self.size = size
 
 
+def _generators(seed: int, lo: int, hi: int) -> list:
+    """The generators of replicas lo..hi-1: this thread's pooled ones,
+    re-keyed, and new ones past the largest batch the pool has served."""
+    pool = getattr(_POOL, "gens", [])
+    gens = [make_generator(seed, r, reuse=g) for r, g in zip(range(lo, hi), pool)]
+    gens += [make_generator(seed, r) for r in range(lo + len(gens), hi)]
+    if len(gens) > len(pool):
+        _POOL.gens = gens
+    return gens
+
+
 def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccumulator:
-    gens = [make_generator(cfg.seed, r) for r in range(lo, hi)]
-    state = _batch_state(spec, gens, embedding)
+    state = _batch_state(spec, _generators(cfg.seed, lo, hi), embedding)
     B = hi - lo
     acc = _BatchAccumulator(cfg, B)
     eta2 = np.asarray(cfg.eta_grid, dtype=float) ** 2

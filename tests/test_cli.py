@@ -127,6 +127,9 @@ class TestSimulateCommand:
         ({"kind": "rotation", "alpha": 1.0}, "fourier"),
         ({"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]]}, "values"),
         ([1, 2], "JSON object"),
+        ({"kind": "iid", "variance": "2"}, "'variance'"),
+        ({"kind": "ma", "coeffs": 5}, "'coeffs'"),
+        ({"kind": "rotation", "alpha": "x", "fourier": [[1, 1.0]]}, "'alpha'"),
     ])
     def test_malformed_spec_file_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "bad.json"

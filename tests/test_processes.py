@@ -13,8 +13,10 @@ from twistwalk.processes import (
     Rotation,
     SpecError,
     StreamExhausted,
+    _batch_state,
     covariance,
     golden_mean_spec,
+    make_generator,
     make_stream,
     mixing_covariance_bound_check,
     parry_chain,
@@ -143,8 +145,11 @@ class TestCovariance:
         reps, length = 2048, 5000
         r_hat = np.zeros(9, dtype=complex)
         per = []
+        # the rows of one batch are the replica streams make_stream gives,
+        # cast as take casts them
+        rows = _batch_state(spec, [make_generator(99, r) for r in range(reps)]).emit(length)
         for rep in range(reps):
-            x = make_stream(spec, 99, replica=rep).take(length)
+            x = rows[rep].astype(complex)
             per.append([np.sum(x[k:] * np.conj(x[:length - k])) / length for k in range(9)])
         per = np.array(per)
         r_hat = per.mean(axis=0)
@@ -374,6 +379,30 @@ class TestJsonWireFormat:
     def test_missing_key_is_named(self, doc, key):
         with pytest.raises(SpecError, match=repr(key)):
             spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "iid", "variance": "2"}, "variance"),
+        ({"kind": "ma", "coeffs": 5}, "coeffs"),
+        ({"kind": "markov", "transition": [[0.5, 0.5], [1.0]], "values": [1, -1]}, "transition"),
+        ({"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]], "values": [1, [1]]}, "values"),
+        ({"kind": "gaussian-spectral", "window": 32, "atoms": [1.0]}, "atoms"),
+        ({"kind": "gaussian-spectral", "window": None}, "window"),
+        ({"kind": "rotation", "alpha": 1.0, "fourier": [[1, 1.0]]}, "fourier"),
+        ({"kind": "rotation", "alpha": [1.0], "fourier": {"1": 1.0}}, "alpha"),
+    ])
+    def test_mistyped_key_is_named(self, doc, key):
+        with pytest.raises(SpecError, match=repr(key)):
+            spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "gaussian-spectral", "window": 32.0, "grid_size": 64.0},
+        {"kind": "gaussian-spectral", "window": 32, "atoms": [[1.0, "0.5"]]},
+        {"kind": "rotation", "alpha": "1.4", "fourier": {"1": 1.0}},
+        {"kind": "markov", "transition": [[0.5, 0.5], [1.0, 0.0]], "values": [1, -1], "centered": 1},
+    ])
+    def test_coercible_values_still_parse(self, doc):
+        """Integral floats and numeric strings parse as float() and int() take them."""
+        assert spec_from_json(doc).kind == doc["kind"]
 
     @pytest.mark.parametrize("doc", [[1, 2], "iid", None, {"kind": ["iid"]}])
     def test_document_must_be_an_object_with_a_known_kind(self, doc):

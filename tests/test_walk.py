@@ -1,11 +1,23 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
 import twistwalk as tw
+from twistwalk import walk
 from twistwalk.group import Angle, GroupElement, g_mul, identity
-from twistwalk.processes import IID, make_stream
+from twistwalk.processes import (
+    IID,
+    GaussianSpectral,
+    MovingAverage,
+    Rotation,
+    _batch_state,
+    golden_mean_spec,
+    make_generator,
+    make_stream,
+)
+from twistwalk.spectral import SpectralMeasure
 from twistwalk.walk import (
     ResourceCapError,
     WalkConfig,
@@ -177,6 +189,71 @@ class TestSimulate:
         spec = tw.GaussianSpectral(tw.SpectralMeasure.flat(1.0, 256), window=64, field="real")
         with pytest.raises(ValueError):
             simulate(spec, WalkConfig(beta=0.1, n_max=128, replicas=2, seed=1))
+
+
+def _on_a_new_thread(fn):
+    """fn() on a thread of its own, which starts with an empty generator pool."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _leave_generator_state_behind(replicas: int) -> list:
+    """Run batches through this thread's generator pool that leave state in
+    it: an odd Rademacher count keeps half a 64-bit draw (``has_uint32``),
+    uniform draws a partly used Philox buffer."""
+    gens = walk._generators(5, 0, replicas)
+    _batch_state(IID("rademacher"), gens).emit(7)
+    _batch_state(IID("uniform-circle"), gens).emit(3)
+    states = [g.bit_generator.state for g in gens]
+    assert all(st["has_uint32"] == 1 and st["buffer_pos"] < 4 for st in states)
+    return gens
+
+
+POOL_FAMILIES = {
+    "iid-complex-gaussian": IID("complex-gaussian", 2.0),
+    "iid-rademacher": IID("rademacher"),
+    "iid-uniform-circle": IID("uniform-circle"),
+    "ma": MovingAverage((1, 0.5j, -0.3)),
+    "golden-mean": golden_mean_spec(),
+    "rotation": Rotation(math.sqrt(2.0), ((1, 1.0), (3, 0.5j))),
+    "gaussian-spectral": GaussianSpectral(SpectralMeasure.singular_half_power(2.0, 256), 300),
+}
+
+
+class TestGeneratorPool:
+    @pytest.mark.parametrize("family", sorted(POOL_FAMILIES))
+    def test_reused_generators_give_fresh_streams(self, family):
+        spec = POOL_FAMILIES[family]
+
+        def check():
+            pooled = _leave_generator_state_behind(40)
+            # replicas 3..49: the 40 pooled generators re-keyed, 7 new ones
+            gens = walk._generators(11, 3, 50)
+            assert gens[:40] == pooled and walk._POOL.gens is gens
+            got = _batch_state(spec, gens)
+            want = _batch_state(spec, [make_generator(11, r) for r in range(3, 50)])
+            for count in (1, 128, 171):
+                assert np.array_equal(got.emit(count), want.emit(count))
+
+        _on_a_new_thread(check)
+
+    @pytest.mark.parametrize("family", ["iid-rademacher", "golden-mean", "ma"])
+    def test_worker_count_after_a_dirty_pool(self, family):
+        spec = POOL_FAMILIES[family]
+        cfg = dict(beta=1.3, n_max=300, replicas=90, seed=8, batch_size=25, record_raw=True)
+
+        def run_on_a_dirty_pool(workers):
+            _leave_generator_state_behind(25)
+            return simulate(spec, WalkConfig(workers=workers, **cfg))
+
+        one = _on_a_new_thread(lambda: run_on_a_dirty_pool(1))
+        two = _on_a_new_thread(lambda: run_on_a_dirty_pool(2))
+        assert np.array_equal(one.dense_scaled, two.dense_scaled)
+        assert np.array_equal(one.return_increment_sq, two.return_increment_sq)
+        for n in one.checkpoints:
+            assert np.array_equal(one.samples[n], two.samples[n])
+            assert np.array_equal(one.moment_sums[n], two.moment_sums[n])
+            assert np.array_equal(one.return_count_sums[n], two.return_count_sums[n])
 
 
 class TestDenseTables:
