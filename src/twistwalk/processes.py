@@ -51,6 +51,11 @@ from .spectral import (
 
 TWO_PI = 2.0 * math.pi
 
+#: the Gaussian synthesis and the moving-average and rotation emits work on
+#: blocks of about SCRATCH_VALUES values, so their temporaries stay that size
+#: whatever the batch; a block's rows are computed exactly as a whole batch's
+SCRATCH_VALUES = 1 << 17
+
 IID_LAWS = ("complex-gaussian", "rademacher", "uniform-circle")
 
 
@@ -314,7 +319,8 @@ class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
     measure as given.  The stream realizes exactly ``window`` values.
     """
 
-    # one batch holds a path of the whole circulant embedding per replica
+    # a batch holds ``window`` values per replica; 512 stays because the
+    # batch plan fixes the reduction order, and so the output bits
     BATCH_SIZE = 512
 
     measure: SpectralMeasure
@@ -493,9 +499,11 @@ class _MAState:
         for i, g in enumerate(self.gens):
             g.standard_normal(out=full[i, q:])
         out = np.zeros((len(self.gens), count), dtype=float if self.real else complex)
-        for j, c in enumerate(self.spec.coeffs):
-            view = full[:, q - j : q - j + count]
-            out += (c.real * view) if self.real else (c * view)
+        rows = _rows(count)
+        for r in range(0, len(self.gens), rows):
+            for j, c in enumerate(self.spec.coeffs):
+                view = full[r : r + rows, q - j : q - j + count]
+                out[r : r + rows] += (c.real * view) if self.real else (c * view)
         if q:
             self.tail = full[:, -q:].copy()
         return out
@@ -584,29 +592,47 @@ class _SpectralEmbedding:
         self.sqrt_lam = np.sqrt(np.maximum(lam, 0.0))
 
     def sample(self, gens, field: str) -> np.ndarray:
-        """One path of ``window`` values per generator; draws are sequential
-        per replica (density noise first, then one pair per atom)."""
+        """One path of ``window`` values per generator.
+
+        The density part is synthesized a sub-block of replicas at a time in
+        one reused buffer of about SCRATCH_VALUES complex values; a replica's
+        row comes out the same in any sub-block.  Each replica draws its
+        ``size`` complex normals of density noise first (real and imaginary
+        part of each in turn), then one pair per atom, in atom order.
+        """
         B, N = len(gens), self.window
         out = np.zeros((B, N), dtype=float if field == "real" else complex)
         if self.has_density:
-            noise = np.empty((B, self.size), dtype=complex)
-            for i, g in enumerate(gens):
-                z = g.standard_normal((self.size, 2))
-                noise[i] = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-            paths = np.fft.ifft(self.sqrt_lam * noise, axis=1) * math.sqrt(self.size)
-            if field == "real":
-                out += math.sqrt(2.0) * paths[:, :N].real
-            else:
-                out += paths[:, :N]
+            rows = _rows(self.size)
+            buf = np.empty((min(rows, B), self.size), dtype=complex)
+            for lo in range(0, B, rows):
+                hi = min(lo + rows, B)
+                noise = buf[: hi - lo]
+                pairs = noise.view(float)  # a row's (re, im) pairs, in draw order
+                for i, g in enumerate(gens[lo:hi]):
+                    g.standard_normal(out=pairs[i])
+                noise /= math.sqrt(2.0)
+                np.multiply(self.sqrt_lam, noise, out=noise)
+                paths = np.fft.ifft(noise, axis=1)
+                paths *= math.sqrt(self.size)
+                if field == "real":
+                    out[lo:hi] += math.sqrt(2.0) * paths[:, :N].real
+                else:
+                    out[lo:hi] += paths[:, :N]
+                del paths  # before the next sub-block's transform is allocated
         ks = np.arange(N)
         for omega, mass in self.atoms:
             amp = math.sqrt(mass)
+            if field == "real":
+                cos, sin = np.cos(ks * omega), np.sin(ks * omega)
+            else:
+                harmonic = np.exp(1j * ks * omega)
             for i, g in enumerate(gens):
                 a, b = g.standard_normal(2)
                 if field == "real":
-                    out[i] += amp * (a * np.cos(ks * omega) + b * np.sin(ks * omega))
+                    out[i] += amp * (a * cos + b * sin)
                 else:
-                    out[i] += amp * ((a + 1j * b) / math.sqrt(2.0)) * np.exp(1j * ks * omega)
+                    out[i] += amp * ((a + 1j * b) / math.sqrt(2.0)) * harmonic
         return out
 
 
@@ -637,15 +663,22 @@ class _RotationState:
     def emit(self, count: int) -> np.ndarray:
         ks = np.arange(self.pos, self.pos + count)
         out = np.zeros((count, len(self.theta0)), dtype=complex)
+        rows = _rows(len(self.theta0))
         for j, c in self.spec.fourier:
             # e^{ij(theta0 + k alpha)} factors into an outer product; numpy's
             # complex multiply is not bitwise commutative, so the replica
             # factor stays the left operand
             phase0 = c * np.exp(1j * j * self.theta0)
             phasek = np.exp(1j * j * self.spec.alpha * ks)
-            out += phase0[None, :] * phasek[:, None]
+            for t in range(0, count, rows):
+                out[t : t + rows] += phase0[None, :] * phasek[t : t + rows, None]
         self.pos += count
         return out.T
+
+
+def _rows(width: int) -> int:
+    """Rows of ``width`` values in one block of about SCRATCH_VALUES."""
+    return max(1, SCRATCH_VALUES // max(width, 1))
 
 
 def _batch_state(spec: ProcessFamily, gens, embedding=None):
