@@ -269,6 +269,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    if args.n_max < 2:
+        raise ConfigError(f"--n-max must be >= 2, got {args.n_max}")
     spec = build_process(args.process, field=args.field, n_max=args.n_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,8 +356,8 @@ def example_manifest(name: str, replicas: int | None = None, n_max: int | None =
     walk = {
         **defaults,
         "checkpoints": "geometric",
-        "n_max": n_max or defaults["n_max"],
-        "replicas": replicas or defaults["replicas"],
+        "n_max": defaults["n_max"] if n_max is None else n_max,
+        "replicas": defaults["replicas"] if replicas is None else replicas,
         "seed": defaults["seed"] if seed is None else seed,
     }
     return {

@@ -91,12 +91,6 @@ class SmallBallTable:
         se = np.sqrt(np.maximum(p * (1 - p), 0.0) / R)
         return cls(ns, etas, p, se, R)
 
-    def at(self, n: int, eta: float) -> Estimate:
-        i = int(np.where(self.ns == int(n))[0][0])
-        j = int(np.where(np.isclose(self.etas, eta))[0][0])
-        return Estimate(float(self.p_hat[i, j]), float(self.se[i, j]),
-                        int(round(self.p_hat[i, j] * self.replicas)), self.replicas)
-
 
 def _eta_index(ens: CheckpointEnsemble, eta: float) -> int:
     match = np.isclose(ens.eta_grid, eta)
@@ -126,26 +120,17 @@ def unscaled_ball(ens: CheckpointEnsemble, n: int, eta: float) -> Estimate:
     return _ball(ens, ens.unscaled_counts, n, eta)
 
 
-def tau(ens: CheckpointEnsemble, n: int, eta: float, mode: str = "auto"):
+def tau(ens: CheckpointEnsemble, n: int, eta: float):
     """Cesaro average (1/n) sum_{k<=n} sigma_k(eta) of scaled-ball probabilities.
 
     Dense mode (per-step tables recorded) evaluates the sum exactly;
     otherwise sigma is interpolated linearly in log k across the checkpoint
-    grid.  ``mode`` forces "dense" or "grid".  Returns (Estimate, mode).
+    grid.  Returns (Estimate, "dense" or "grid").
     """
     n = int(n)
-    if mode not in ("auto", "dense", "grid"):
-        raise ValueError(f"unknown tau mode {mode!r}")
     j = _eta_index(ens, eta)
     R = ens.replicas_done
-    use_dense = (
-        mode != "grid"
-        and ens.dense_scaled is not None
-        and n <= ens.dense_scaled.shape[0] - 1
-    )
-    if mode == "dense" and not use_dense:
-        raise ValueError("dense tau requested but per-step tables were not recorded")
-    if use_dense:
+    if ens.dense_scaled is not None and n <= ens.dense_scaled.shape[0] - 1:
         total = float(ens.dense_scaled[1 : n + 1, j].sum())
         value = total / (n * R)
         se = math.sqrt(value * max(1.0 - value, 0.0) / R)  # conservative: steps correlate

@@ -23,11 +23,12 @@ statistic the two modes share comes from one code path, and samples serve
 only the bootstrap noise floors.
 
 Replicas are embarrassingly parallel.  Replica r draws from a counter-based
-generator keyed by (seed, r); replicas are processed in fixed-size batches
-and all reductions run in batch order, so the worker count can never change
-any output bit.  Each thread keeps a pool of generators and re-keys them for
-every batch it runs, which gives the same streams as building new ones, so
-generator reuse cannot change any bit either.
+generator keyed by (seed, r); replicas are processed in fixed-size batches,
+and each batch is folded into the run totals as it completes, in batch
+order, so the worker count can never change any output bit.  Each thread
+keeps a pool of generators and re-keys them for every batch it runs, which
+gives the same streams as building new ones, so generator reuse cannot
+change any bit either.
 """
 
 from __future__ import annotations
@@ -58,12 +59,17 @@ ECF_BLOCK = 2 * ECF_POINTS_PER_RAY
 BLOCK_VALUES = 1 << 16
 BLOCK_STEPS = 256
 
+#: raw samples are kept while 2 * 16 * replicas * checkpoints bytes fit
+RAW_CAP_BYTES = 1 << 29
+#: the largest replicas * n_max a run may ask for
+RESOURCE_CAP = 1 << 31
+
 #: each thread's generators, re-keyed for every batch it runs
 _POOL = threading.local()
 
 
 class ResourceCapError(RuntimeError):
-    """replicas * n_max exceeds the configured resource cap."""
+    """replicas * n_max exceeds RESOURCE_CAP."""
 
 
 def default_ecf_tgrid() -> np.ndarray:
@@ -136,12 +142,10 @@ class WalkConfig:
     seed: int = 0
     eta_grid: tuple = (0.05, 0.1, 0.2, 0.3, 0.5)
     dense_counts: bool | None = None  # None: on when n_max <= 4096
-    record_raw: bool | None = None  # None: on while within raw_cap_bytes
-    raw_cap_bytes: int = 1 << 29
+    record_raw: bool | None = None  # None: on while within RAW_CAP_BYTES
     ecf_tgrid: np.ndarray = field(init=False, repr=False)  # structured grid of beta
     workers: int = 1
     batch_size: int | None = None
-    resource_cap: int = 1 << 31
     budget_s: float | None = None
 
     def __post_init__(self):
@@ -169,10 +173,11 @@ class WalkConfig:
         if self.dense_counts is None:
             self.dense_counts = self.n_max <= 4096
         if self.record_raw is None:
-            # a complex sample per replica and checkpoint, held twice while
-            # merge concatenates
+            # a complex sample per replica and checkpoint in the run totals,
+            # and as much again at most in batches that finished ahead of
+            # their turn and wait to be folded
             need = 2 * 16 * self.replicas * len(self.checkpoints)
-            self.record_raw = need <= self.raw_cap_bytes
+            self.record_raw = need <= RAW_CAP_BYTES
         self.ecf_tgrid = structured_ecf_tgrid(self.beta.value)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -217,11 +222,6 @@ class CheckpointEnsemble:
     replicas_done: int = 0
     n_max: int = 0
 
-    def scaled_samples(self, n: int) -> np.ndarray:
-        if self.samples is None:
-            raise ValueError("raw samples were not retained (streaming mode)")
-        return self.samples[int(n)]
-
     def mean_scaled_abs2(self, n: int) -> float:
         s = self.moment_sums[int(n)]
         return float(s[2]) / self.replicas_done
@@ -243,12 +243,15 @@ def step(s: complex, beta, x: complex) -> complex:
 
 
 class _BatchAccumulator:
-    """Everything one batch of replicas contributes, in replica order."""
+    """Everything a run of ``size`` consecutive replicas contributes, in
+    replica order: one batch, or the run totals the batches are added into."""
 
     def __init__(self, cfg: WalkConfig, size: int):
         E = len(cfg.eta_grid)
         C = len(cfg.checkpoints)
-        self.samples = {n: None for n in cfg.checkpoints} if cfg.record_raw else None
+        self.samples = None
+        if cfg.record_raw:
+            self.samples = {n: np.empty(size, dtype=complex) for n in cfg.checkpoints}
         self.return_increment_sq = np.zeros(E, dtype=np.int64)
         self.scaled_counts = np.zeros((C, E), dtype=np.int64)
         self.unscaled_counts = np.zeros((C, E), dtype=np.int64)
@@ -265,6 +268,23 @@ class _BatchAccumulator:
             np.zeros((cfg.n_max + 1, E), dtype=np.int64) if cfg.dense_counts else None
         )
         self.size = size
+
+    def add(self, other: "_BatchAccumulator", lo: int) -> None:
+        """Fold in ``other``, whose replicas start at replica ``lo`` of these."""
+        if self.samples is not None:
+            for n, z in other.samples.items():
+                self.samples[n][lo : lo + other.size] = z
+        self.return_increment_sq += other.return_increment_sq
+        self.scaled_counts += other.scaled_counts
+        self.unscaled_counts += other.unscaled_counts
+        self.return_count_sums += other.return_count_sums
+        self.moment_sums += other.moment_sums
+        np.maximum(self.max_abs, other.max_abs, out=self.max_abs)
+        if self.ecf_sums is not None:
+            self.ecf_sums += other.ecf_sums
+        if self.dense_scaled is not None:
+            self.dense_scaled += other.dense_scaled
+            self.dense_unscaled += other.dense_unscaled
 
 
 def _generators(seed: int, lo: int, hi: int) -> list:
@@ -368,87 +388,49 @@ def simulate(spec, cfg: WalkConfig) -> CheckpointEnsemble:
     """Run the walk over independent replicas and collect checkpoint data.
 
     Deterministic in (spec, cfg.seed): the batch decomposition is fixed by
-    the spec family, reductions run in batch order, and ``workers`` only
-    schedules batches.  A wall-clock budget stops the run at the next batch
-    boundary and marks the ensemble partial.
+    the spec family, and each batch is folded into the run totals as it
+    completes, in batch order.  ``workers`` only schedules batches: one runs
+    them on the calling thread, more run them on a thread pool.  A
+    wall-clock budget stops the run at the next batch boundary, cancels the
+    batches not yet started and marks the ensemble partial.
     """
-    if cfg.replicas * cfg.n_max > cfg.resource_cap:
+    if cfg.replicas * cfg.n_max > RESOURCE_CAP:
         raise ResourceCapError(
-            f"replicas * n_max = {cfg.replicas * cfg.n_max} exceeds the cap "
-            f"{cfg.resource_cap}; raise resource_cap explicitly to proceed"
+            f"replicas * n_max = {cfg.replicas * cfg.n_max} exceeds the cap {RESOURCE_CAP}"
         )
     embedding_args = spec.embedding_args(cfg.n_max)
     embedding = _SpectralEmbedding(*embedding_args) if embedding_args else None
 
+    def run(batch):
+        lo, hi = batch
+        return _run_batch(spec, cfg, lo, hi, embedding)
+
     batches = _batch_plan(spec, cfg)
-    t0 = time.monotonic()
-    results: list = [None] * len(batches)
+    total = _BatchAccumulator(cfg, cfg.replicas)
     done = 0
-    stop = False
-    # the first batch always runs so a budgeted run still yields flagged output
-    if cfg.workers == 1:
-        for i, (lo, hi) in enumerate(batches):
-            if i > 0 and cfg.budget_s is not None and time.monotonic() - t0 > cfg.budget_s:
-                stop = True
-                break
-            results[i] = _run_batch(spec, cfg, lo, hi, embedding)
+    t0 = time.monotonic()
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        results = map(run, batches) if cfg.workers == 1 else pool.map(run, batches)
+        # the first batch always runs so a budgeted run still yields flagged output
+        for (lo, hi), acc in zip(batches, results):
+            total.add(acc, lo)
             done = hi
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            i = 0
-            while i < len(batches):
-                if i > 0 and cfg.budget_s is not None and time.monotonic() - t0 > cfg.budget_s:
-                    stop = True
-                    break
-                wave = batches[i : i + cfg.workers]
-                futs = [
-                    pool.submit(_run_batch, spec, cfg, lo, hi, embedding) for lo, hi in wave
-                ]
-                for j, fut in enumerate(futs):
-                    results[i + j] = fut.result()
-                done = wave[-1][1]
-                i += len(wave)
-    completed = [r for r in results if r is not None]
-    return _merge(cfg, completed, partial=stop, replicas_done=done)
+            if cfg.budget_s is not None and time.monotonic() - t0 > cfg.budget_s:
+                break
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return _merge(cfg, total, partial=done < cfg.replicas, replicas_done=done)
 
 
-def _merge(cfg: WalkConfig, accs, partial: bool, replicas_done: int) -> CheckpointEnsemble:
-    C = len(cfg.checkpoints)
+def _merge(cfg: WalkConfig, total: _BatchAccumulator, partial: bool,
+           replicas_done: int) -> CheckpointEnsemble:
+    cps = cfg.checkpoints
     samples = None
-    if cfg.record_raw:
-        samples = {
-            n: np.concatenate([a.samples[n] for a in accs]) for n in cfg.checkpoints
-        }
-    scaled = {}
-    unscaled = {}
-    ret_sums = {}
-    moments = {}
-    max_abs = {}
-    rotation = {}
-    for ci, n in enumerate(cfg.checkpoints):
-        scaled[n] = sum(a.scaled_counts[ci] for a in accs)
-        unscaled[n] = sum(a.unscaled_counts[ci] for a in accs)
-        ret_sums[n] = sum(a.return_count_sums[ci] for a in accs)
-        m = np.zeros(4)
-        for a in accs:
-            m += a.moment_sums[ci]
-        moments[n] = m
-        max_abs[n] = max(a.max_abs[ci] for a in accs)
-        rotation[n] = cfg.rotation_coordinate(n)
-    ecf_sums = None
-    if not cfg.record_raw:
-        ecf_sums = {}
-        for ci, n in enumerate(cfg.checkpoints):
-            tot = np.zeros(cfg.ecf_tgrid.size, dtype=complex)
-            for a in accs:
-                tot += a.ecf_sums[ci]
-            ecf_sums[n] = tot
-    dense_scaled = dense_unscaled = None
-    if cfg.dense_counts:
-        dense_scaled = sum(a.dense_scaled for a in accs)
-        dense_unscaled = sum(a.dense_unscaled for a in accs)
+    if total.samples is not None:
+        samples = {n: z[:replicas_done] for n, z in total.samples.items()}
     return CheckpointEnsemble(
-        checkpoints=cfg.checkpoints,
+        checkpoints=cps,
         eta_grid=cfg.eta_grid,
         replicas=cfg.replicas,
         seed=cfg.seed,
@@ -456,19 +438,19 @@ def _merge(cfg: WalkConfig, accs, partial: bool, replicas_done: int) -> Checkpoi
         beta_fraction=(cfg.beta.p, cfg.beta.q) if cfg.beta.is_rational else None,
         mode="raw" if cfg.record_raw else "streaming",
         samples=samples,
-        return_increment_sq=sum(a.return_increment_sq for a in accs),
-        scaled_counts=scaled,
-        unscaled_counts=unscaled,
-        return_count_sums=ret_sums,
-        moment_sums=moments,
-        max_abs=max_abs,
-        rotation=rotation,
-        ecf_sums=ecf_sums,
+        return_increment_sq=total.return_increment_sq,
+        scaled_counts=dict(zip(cps, total.scaled_counts)),
+        unscaled_counts=dict(zip(cps, total.unscaled_counts)),
+        return_count_sums=dict(zip(cps, total.return_count_sums)),
+        moment_sums=dict(zip(cps, total.moment_sums)),
+        max_abs=dict(zip(cps, total.max_abs)),
+        rotation={n: cfg.rotation_coordinate(n) for n in cps},
+        ecf_sums=None if total.ecf_sums is None else dict(zip(cps, total.ecf_sums)),
         ecf_tgrid=cfg.ecf_tgrid,
-        dense_scaled=dense_scaled,
-        dense_unscaled=dense_unscaled,
+        dense_scaled=total.dense_scaled,
+        dense_unscaled=total.dense_unscaled,
         partial=partial,
-        replicas_done=replicas_done if partial else cfg.replicas,
+        replicas_done=replicas_done,
         n_max=cfg.n_max,
     )
 

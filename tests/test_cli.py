@@ -186,12 +186,27 @@ class TestSpectralCommand:
         ratio = v[big] / np.sqrt(ns[big])
         assert ratio.min() > 0.5 * np.median(ratio)
 
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_n_max_below_two_exit_2(self, tmp_path, capsys, n_max):
+        out = tmp_path / "spec"
+        rc = main(["spectral", "--process", "iid-rademacher", "--n-max", n_max,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--n-max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExampleCommand:
     def test_unknown_name_exit_2(self, tmp_path, capsys):
         rc = main(["example", "fermat", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "gaussian-transient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--replicas", "--n-max"])
+    def test_zero_override_exit_2(self, tmp_path, capsys, flag):
+        rc = main(["example", "sofic-recurrent", flag, "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert ">= 1" in capsys.readouterr().err
 
     def test_rational_block_example(self, tmp_path, capsys):
         out = tmp_path / "rb"

@@ -2,7 +2,9 @@
 
 Each named example runs at ``--replicas 600 --n-max 1024``; the SHA-256
 of its ``manifest.json``, ``report.json``, ``ensemble.csv`` and
-``smallball.csv`` must equal ``golden/digests.json``.  A change that moves
+``smallball.csv`` must equal ``golden/digests.json``.  The Gaussian
+example, whose 600 replicas make two engine batches, also runs on two
+workers against the same digests.  A change that moves
 output bits on purpose regenerates the file in the same change:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -28,19 +30,22 @@ FILES = ("manifest.json", "report.json", "ensemble.csv", "smallball.csv")
 FFT_EXAMPLES = ("gaussian-transient",)
 
 
-def example_digests(name: str, out: Path) -> dict:
-    assert main(["example", name, *ARGS, "--out", str(out)]) == 0
+def example_digests(name: str, out: Path, workers: int = 1) -> dict:
+    assert main(["example", name, *ARGS, "--workers", str(workers), "--out", str(out)]) == 0
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
-def test_example_bytes_unchanged(name, tmp_path):
+@pytest.mark.parametrize("name, workers", [
+    *(pytest.param(name, 1, id=name) for name in EXAMPLE_NAMES),
+    pytest.param("gaussian-transient", 2, id="gaussian-transient-2-workers"),
+])
+def test_example_bytes_unchanged(name, workers, tmp_path):
     golden = json.loads(DIGESTS.read_text())
     assert golden["args"] == ARGS
     if name in FFT_EXAMPLES and golden["numpy"] != np.__version__:
         pytest.fail(f"{name}'s digests were made with numpy {golden['numpy']}; this is "
                     f"numpy {np.__version__}, whose FFT may round differently")
-    assert example_digests(name, tmp_path) == golden["examples"][name]
+    assert example_digests(name, tmp_path, workers) == golden["examples"][name]
 
 
 if __name__ == "__main__":

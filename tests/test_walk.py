@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -71,20 +72,22 @@ class TestConfig:
         assert cfg.rotation_fraction(3) == (6 % 5, 5)
         assert cfg.rotation_coordinate(5) == 0.0
 
-    def test_raw_mode_sized_with_merge_copy(self):
-        # 12 checkpoints of a 16-byte sample per replica, held twice at
-        # merge: 384000 bytes; no per-replica return counts are kept
+    def test_raw_mode_sizing_rule(self, monkeypatch):
+        # 12 checkpoints of a 16-byte sample per replica, counted twice:
+        # 384000 bytes; no per-replica return counts are kept
         R = 1000
-        cfg = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=16 * R * 13)
+        monkeypatch.setattr(walk, "RAW_CAP_BYTES", 16 * R * 13)
+        cfg = WalkConfig(beta=0.1, n_max=64, replicas=R)
         assert len(cfg.checkpoints) == 12
         assert not cfg.record_raw
-        assert not WalkConfig(beta=0.1, n_max=64, replicas=R,
-                              raw_cap_bytes=2 * 16 * R * 12 - 1).record_raw
-        big = WalkConfig(beta=0.1, n_max=64, replicas=R, raw_cap_bytes=2 * 16 * R * 12)
-        assert big.record_raw
+        monkeypatch.setattr(walk, "RAW_CAP_BYTES", 2 * 16 * R * 12 - 1)
+        assert not WalkConfig(beta=0.1, n_max=64, replicas=R).record_raw
+        monkeypatch.setattr(walk, "RAW_CAP_BYTES", 2 * 16 * R * 12)
+        assert WalkConfig(beta=0.1, n_max=64, replicas=R).record_raw
 
-    def test_resource_cap(self):
-        cfg = WalkConfig(beta=0.1, n_max=1 << 20, replicas=1 << 12, resource_cap=1 << 30)
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(walk, "RESOURCE_CAP", 1 << 30)
+        cfg = WalkConfig(beta=0.1, n_max=1 << 20, replicas=1 << 12)
         with pytest.raises(ResourceCapError):
             simulate(IID("rademacher"), cfg)
 
@@ -100,19 +103,23 @@ class TestSimulate:
             assert np.array_equal(a.return_count_sums[n], b.return_count_sums[n])
         assert np.array_equal(a.return_increment_sq, b.return_increment_sq)
 
-    def test_worker_and_batch_independence(self):
+    @pytest.mark.parametrize("record_raw", [True, False], ids=["raw", "streaming"])
+    def test_worker_and_batch_independence(self, record_raw):
         # 1, 4 and 16 workers produce identical ensembles
         spec = IID("complex-gaussian")
         base = None
         for workers in (1, 4, 16):
             cfg = WalkConfig(beta=1.1, n_max=256, replicas=900, seed=4,
-                             workers=workers, batch_size=64)
+                             workers=workers, batch_size=64, record_raw=record_raw)
             ens = simulate(spec, cfg)
             if base is None:
                 base = ens
             else:
                 for n in base.checkpoints:
-                    assert np.array_equal(base.samples[n], ens.samples[n])
+                    if record_raw:
+                        assert np.array_equal(base.samples[n], ens.samples[n])
+                    else:
+                        assert np.array_equal(base.ecf_sums[n], ens.ecf_sums[n])
                     assert np.array_equal(base.moment_sums[n], ens.moment_sums[n])
                     assert np.array_equal(base.dense_scaled, ens.dense_scaled)
 
@@ -135,8 +142,7 @@ class TestSimulate:
         spec = IID("complex-gaussian")
         beta = Angle(0.73)
         cfg = WalkConfig(beta=0.73, n_max=1000, checkpoints=list(range(1, 1001)),
-                         replicas=1, seed=9, dense_counts=False, record_raw=True,
-                         raw_cap_bytes=1 << 30)
+                         replicas=1, seed=9, dense_counts=False, record_raw=True)
         ens = simulate(spec, cfg)
         x = make_stream(spec, 9, replica=0).take(1000)
         acc = identity()
@@ -170,6 +176,27 @@ class TestSimulate:
         assert ens.partial
         assert 0 < ens.replicas_done < 4000
         assert len(ens.samples[64]) == ens.replicas_done
+
+    def test_budget_stop_on_threads_is_a_prefix_run(self):
+        # the batches folded before a zero budget stops a threaded run are
+        # exactly a full run of that many replicas
+        spec = IID("complex-gaussian")
+        kw = dict(beta=0.3, n_max=64, seed=1, batch_size=100, record_raw=True)
+        ens = simulate(spec, WalkConfig(replicas=4000, workers=2, budget_s=0.0, **kw))
+        assert ens.partial and 0 < ens.replicas_done < 4000
+        assert ens.replicas_done % 100 == 0
+        full = simulate(spec, WalkConfig(replicas=ens.replicas_done, **kw))
+        assert not full.partial
+        for f in dataclasses.fields(full):
+            if f.name in ("replicas", "partial"):
+                continue
+            got, want = getattr(ens, f.name), getattr(full, f.name)
+            if isinstance(want, dict):
+                assert got.keys() == want.keys(), f.name
+                for n in want:
+                    assert np.array_equal(got[n], want[n]), (f.name, n)
+            else:
+                assert np.array_equal(got, want), f.name
 
     def test_streaming_mode_summaries(self):
         spec = IID("complex-gaussian")
