@@ -33,11 +33,9 @@ from .processes import (
     covariance,
     golden_mean_spec,
     make_stream,
-    mixing_covariance_bound_check,
     parry_chain,
     spec_from_json,
     spectral_measure,
-    window_covariance_mc,
 )
 from .spectral import (
     HalfPowerSingularity,
@@ -62,7 +60,6 @@ from .walk import (
     structured_ecf_tgrid,
 )
 from .diagnostics import (
-    ClassifyThresholds,
     DiagnosticsReport,
     SmallBallTable,
     build_report,

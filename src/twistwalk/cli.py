@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import ClassifyThresholds, build_report
+from .diagnostics import build_report
 from .group import Angle
 from .processes import (
     IID,
@@ -42,7 +42,7 @@ from .spectral import (
     spectral_convolve,
 )
 from .processes import spectral_measure as measure_of
-from .walk import ResourceCapError, WalkConfig, blocked_increments, simulate, step
+from .walk import ETA_GRID, ResourceCapError, WalkConfig, blocked_increments, simulate, step
 
 #: named processes; golden-mean stays a factory so that its chain comes
 #: from parry_chain, not from floats copied into the source
@@ -133,21 +133,15 @@ def _ensemble_csv(path: Path, ens, sha: str, run_header: dict) -> None:
             fh.write(",".join([str(n)] + [repr(float(v)) for v in vals]) + "\n")
 
 
-def _smallball_csv(path: Path, ens, report: dict, sha: str) -> None:
-    from .diagnostics import tau
-
-    c_hat = report["c_hat"]
+def _smallball_csv(path: Path, report: dict, sha: str) -> None:
+    sb, tau_rows, c_hat = report["small_ball"], report["tau"], report["c_hat"]
     with open(path, "w") as fh:
         fh.write(f"# manifest_sha256={sha}\n# schema=smallball-v1\n")
         fh.write("n,eta,p_hat,se,tau,c_hat\n")
-        R = ens.replicas_done
-        for n in ens.checkpoints:
-            for j, e in enumerate(ens.eta_grid):
-                p = float(ens.scaled_counts[n][j] / R)
-                se = math.sqrt(max(p * (1 - p), 0.0) / R)
-                t, _ = tau(ens, n, e)
-                ce = c_hat.get(e, c_hat.get(float(e), {})).get("c_hat", float("nan"))
-                fh.write(f"{n},{e!r},{p!r},{se!r},{t.value!r},{ce!r}\n")
+        for n, p_row, se_row in zip(sb["ns"], sb["p_hat"], sb["se"]):
+            for e, p, se in zip(sb["etas"], p_row, se_row):
+                t = tau_rows[str(n)][repr(e)]["tau"]
+                fh.write(f"{n},{e!r},{p!r},{se!r},{t!r},{c_hat[e]['c_hat']!r}\n")
 
 
 def manifest_walk_config(manifest: dict, workers: int = 1):
@@ -160,7 +154,7 @@ def manifest_walk_config(manifest: dict, workers: int = 1):
         checkpoints=w.get("checkpoints", "geometric"),
         replicas=w["replicas"],
         seed=w["seed"],
-        eta_grid=tuple(w.get("eta_grid", (0.05, 0.1, 0.2, 0.3, 0.5))),
+        eta_grid=tuple(w.get("eta_grid", ETA_GRID)),
         dense_counts=w.get("dense_counts"),
         record_raw=w.get("record_raw"),
         workers=workers,
@@ -170,18 +164,15 @@ def manifest_walk_config(manifest: dict, workers: int = 1):
 
 
 def run_simulate_manifest(manifest: dict, out_dir: Path, workers: int = 1) -> dict:
-    """Execute a simulate manifest and write all outputs; returns the report."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute a simulate manifest and write all outputs; returns the report.
+
+    The output directory is made only after the run, so a configuration
+    error leaves no directory behind.
+    """
     sha = manifest_hash(manifest)
     spec, cfg = manifest_walk_config(manifest, workers=workers)
     ens = simulate(spec, cfg)
-    diag = manifest.get("diagnostics", {})
-    report = build_report(
-        ens,
-        thresholds=ClassifyThresholds(**diag.get("thresholds", {})),
-        n_boot=diag.get("n_boot", 0),
-        boot_seed=diag.get("boot_seed", 1),
-    ).as_dict()
+    report = build_report(ens, n_boot=manifest.get("diagnostics", {}).get("n_boot", 0)).as_dict()
     report["manifest_sha256"] = sha
 
     if cfg.beta.is_rational:
@@ -200,10 +191,11 @@ def run_simulate_manifest(manifest: dict, out_dir: Path, workers: int = 1) -> di
         "seed": w["seed"],
         "version": __version__,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "manifest.json", {**manifest, "manifest_sha256": sha})
     write_json(out_dir / "report.json", report)
     _ensemble_csv(out_dir / "ensemble.csv", ens, sha, run_header)
-    _smallball_csv(out_dir / "smallball.csv", ens, report, sha)
+    _smallball_csv(out_dir / "smallball.csv", report, sha)
     return report
 
 
@@ -231,7 +223,7 @@ def blocked_identity_check(spec, beta: Angle, seed: int, n_max: int) -> dict:
 
 def _eta_grid(arg: str | None):
     if not arg:
-        return (0.05, 0.1, 0.2, 0.3, 0.5)
+        return ETA_GRID
     return tuple(float(v) for v in arg.split(","))
 
 
@@ -246,7 +238,8 @@ def cmd_simulate(args) -> int:
         "walk": {
             "beta": beta_token(beta),
             "n_max": args.n_max,
-            "checkpoints": args.checkpoints,
+            # dense per-step tables ride on the geometric sample checkpoints
+            "checkpoints": "geometric",
             "replicas": args.replicas,
             "seed": args.seed,
             "eta_grid": list(_eta_grid(args.eta_grid)),
@@ -255,10 +248,6 @@ def cmd_simulate(args) -> int:
         "diagnostics": {"n_boot": args.boot},
         "budget_s": args.budget_s,
     }
-    if args.checkpoints == "dense":
-        # dense per-step tables ride on the geometric sample checkpoints
-        manifest["walk"]["checkpoints"] = "geometric"
-        manifest["walk"]["dense_counts"] = True
     report = run_simulate_manifest(manifest, Path(args.out), workers=args.workers)
     print(f"label: {report['label']} ({report['reason']})")
     print(f"report: {Path(args.out) / 'report.json'}")
@@ -439,7 +428,7 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--replicas", type=int, default=10_000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--eta-grid", dest="eta_grid", default=None,
-                    help="comma-separated ball radii (default 0.05,0.1,0.2,0.3,0.5)")
+                    help=f"comma-separated ball radii (default {','.join(map(str, ETA_GRID))})")
     ps.add_argument("--field", choices=("real", "complex"), default="real")
     ps.add_argument("--boot", type=int, default=0, help="bootstrap resamples for noise floors")
     _add_common(ps)

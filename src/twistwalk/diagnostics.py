@@ -20,8 +20,8 @@ is plain binomial/bootstrap.  Each statistic reads what raw and streaming
 runs both record (ball counts, integer return sums, characteristic-function
 values on the structured t-grid), so the report's numbers and its label do
 not depend on the memory mode; raw samples only add bootstrap noise floors.
-The classifier reports *evidence*, never proof, and echoes every threshold
-it used.
+The classifier reports *evidence*, never proof; its thresholds are fixed
+(``THRESHOLDS``) and echoed in every report.
 """
 
 from __future__ import annotations
@@ -431,24 +431,15 @@ def transience_summability(ens: CheckpointEnsemble, eta: float, n_window=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    c_min: float = 0.05            # criterion constant must exceed this ...
-    eta_max: float = 0.5           # ... for every grid eta below eta_max
-    min_n_max: float = 256         # anything shorter is inconclusive
-    returns_z: float = 3.0         # return growth must clear this many SEs
-    returns_fraction: float = 0.01  # and this fraction of the mid-run level
-    decay_ratio: float = 0.5       # late c_hat below this multiple of early
-
-    def as_dict(self) -> dict:
-        return {
-            "c_min": self.c_min,
-            "eta_max": self.eta_max,
-            "min_n_max": self.min_n_max,
-            "returns_z": self.returns_z,
-            "returns_fraction": self.returns_fraction,
-            "decay_ratio": self.decay_ratio,
-        }
+#: the decision rule's thresholds, echoed in every report
+THRESHOLDS = {
+    "c_min": 0.05,            # criterion constant must exceed this ...
+    "eta_max": 0.5,           # ... for every grid eta below eta_max
+    "min_n_max": 256,         # anything shorter is inconclusive
+    "returns_z": 3.0,         # return growth must clear this many SEs
+    "returns_fraction": 0.01,  # and this fraction of the mid-run level
+    "decay_ratio": 0.5,       # late c_hat below this multiple of early
+}
 
 
 def returns_growth(ens: CheckpointEnsemble, eta: float) -> dict:
@@ -477,47 +468,42 @@ def returns_growth(ens: CheckpointEnsemble, eta: float) -> dict:
 
 
 def classify(c_hat_late: dict, c_hat_early: dict, growth: dict,
-             summability: SummabilityResult, n_max: int,
-             thresholds: ClassifyThresholds = ClassifyThresholds()) -> dict:
-    """Decision rule mapping the evidence to a label.
+             summability: SummabilityResult, n_max: int) -> dict:
+    """Decision rule mapping the evidence to a label and a reason.
 
     recurrence-evidence: c_hat(eta) > c_min for every grid eta below eta_max
     and mean return counts still growing late in the run.
     transience-evidence: the summability verdict holds and c_hat has decayed
     (late window below c_min and below decay_ratio times the early window).
     Anything else -- including runs too short to populate the windows -- is
-    inconclusive.  The rule is a reporting convention, not a theorem.
+    inconclusive.  The thresholds are ``THRESHOLDS``.  The rule is a
+    reporting convention, not a theorem.
     """
-    evidence = {
-        "c_hat_late": c_hat_late,
-        "c_hat_early": c_hat_early,
-        "returns": growth,
-        "summability_verdict": summability.verdict,
-        "gamma": summability.gamma,
-        "thresholds": thresholds.as_dict(),
-    }
-    if n_max < thresholds.min_n_max:
-        return {"label": "inconclusive", "reason": "run too short", **evidence}
+    t = THRESHOLDS
+    if n_max < t["min_n_max"]:
+        return {"label": "inconclusive", "reason": "run too short"}
 
-    small = {e: v for e, v in c_hat_late.items() if e < thresholds.eta_max + 1e-12}
+    small = {e: v for e, v in c_hat_late.items() if e < t["eta_max"] + 1e-12}
     if not small:
-        return {"label": "inconclusive", "reason": "no eta below eta_max", **evidence}
-    c_ok = all(v["c_hat"] > thresholds.c_min for v in small.values())
+        return {"label": "inconclusive", "reason": "no eta below eta_max"}
+    c_ok = all(v["c_hat"] > t["c_min"] for v in small.values())
     inc = growth["mean_increment"]
     se = growth["increment_se"]
-    grows = inc > thresholds.returns_fraction * max(growth["mean_mid"], 1e-12) and (
-        math.isnan(se) or inc > thresholds.returns_z * se)
+    grows = inc > t["returns_fraction"] * max(growth["mean_mid"], 1e-12) and (
+        math.isnan(se) or inc > t["returns_z"] * se)
     if c_ok and grows:
-        return {"label": "recurrence-evidence", "reason": "criterion constant positive and returns growing", **evidence}
+        return {"label": "recurrence-evidence",
+                "reason": "criterion constant positive and returns growing"}
 
     decayed = all(
-        v["c_hat"] < thresholds.c_min
-        and v["c_hat"] < thresholds.decay_ratio * max(c_hat_early[e]["c_hat"], 1e-300)
+        v["c_hat"] < t["c_min"]
+        and v["c_hat"] < t["decay_ratio"] * max(c_hat_early[e]["c_hat"], 1e-300)
         for e, v in small.items()
     )
     if summability.verdict == "summable-evidence" and decayed:
-        return {"label": "transience-evidence", "reason": "summable returns and vanishing criterion constant", **evidence}
-    return {"label": "inconclusive", "reason": "mixed evidence", **evidence}
+        return {"label": "transience-evidence",
+                "reason": "summable returns and vanishing criterion constant"}
+    return {"label": "inconclusive", "reason": "mixed evidence"}
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +527,6 @@ class DiagnosticsReport:
     invariance: dict | None
     divisibility: dict | None
     collapse: dict
-    thresholds: dict
     run: dict
     numeric_error_bound: float
     flags: tuple = ()
@@ -565,14 +550,13 @@ class DiagnosticsReport:
             "invariance": self.invariance,
             "divisibility": self.divisibility,
             "collapse": self.collapse,
-            "thresholds": self.thresholds,
+            "thresholds": dict(THRESHOLDS),
             "flags": list(self.flags),
         }
         return out
 
 
-def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = ClassifyThresholds(),
-                 n_boot: int = 0, boot_seed: int = 1) -> DiagnosticsReport:
+def build_report(ens: CheckpointEnsemble, n_boot: int = 0) -> DiagnosticsReport:
     """Assemble the full diagnostics report for one ensemble.
 
     Every statistic comes from the same reduction in raw and streaming mode;
@@ -600,7 +584,7 @@ def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = Class
     sum_eta = max((e for e in ens.eta_grid if e <= 0.5), default=ens.eta_grid[0])
     summ = transience_summability(ens, sum_eta)
     grow = returns_growth(ens, sum_eta)
-    verdictd = classify(c_late, c_early, grow, summ, ens.n_max, thresholds)
+    verdictd = classify(c_late, c_early, grow, summ, ens.n_max)
 
     flags = []
     n_hi = cps[-1]
@@ -617,10 +601,10 @@ def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = Class
     elif n_boot:
         s_hi = ens.samples[n_hi]
         invariance["noise_floor"] = rotation_invariance_noise_floor(
-            s_hi, ens.beta_value, n_boot=n_boot, seed=boot_seed)
+            s_hi, ens.beta_value, n_boot=n_boot, seed=1)
         if divisibility is not None:
             divisibility["noise_floor"] = divisibility_noise_floor(
-                s_hi, ens.samples[half], n_boot=n_boot, seed=boot_seed + 1)
+                s_hi, ens.samples[half], n_boot=n_boot, seed=2)
     if divisibility is not None and abs(growth.get("slope", 1.0) - 1.0) > 0.25:
         divisibility["unreliable"] = True
         flags.append("divisibility-at-nonstandard-scaling")
@@ -663,7 +647,6 @@ def build_report(ens: CheckpointEnsemble, thresholds: ClassifyThresholds = Class
         invariance=invariance,
         divisibility=divisibility,
         collapse=collapse,
-        thresholds=thresholds.as_dict(),
         run=run,
         numeric_error_bound=float(bound),
         flags=tuple(flags),

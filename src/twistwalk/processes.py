@@ -139,16 +139,9 @@ class ProcessFamily:
         steps and hands to every batch state, or None."""
         return None
 
-    @property
-    def dependence_range(self) -> int:
-        """The lag beyond which increments are exactly independent."""
-        raise SpecError(f"{self.kind} specs have no finite dependence range")
-
 
 @dataclass(frozen=True)
 class IID(ProcessFamily, kind="iid"):
-    dependence_range = 0
-
     law: str = "complex-gaussian"
     variance: float = 1.0
 
@@ -194,8 +187,6 @@ class MovingAverage(ProcessFamily, kind="ma"):
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    dependence_range = order
 
     def _covariances(self, ks):
         th = np.asarray(self.coeffs, dtype=complex)
@@ -690,7 +681,7 @@ class IncrementStream:
     """Deterministic stream of increments; (spec, seed, replica) fixes the output.
 
     ``take(n)`` returns the next n values; chunking never changes the
-    sequence.  ``next()`` is the scalar convenience form.
+    sequence.
     """
 
     def __init__(self, spec, seed: int, replica: int = 0):
@@ -698,22 +689,13 @@ class IncrementStream:
         self.seed = int(seed)
         self.replica = int(replica)
         self._state = spec.batch_state([make_generator(seed, replica)])
-        self._position = 0
-
-    @property
-    def position(self) -> int:
-        return self._position
 
     def take(self, n: int) -> np.ndarray:
         n = int(n)
         if n < 0:
             raise ValueError("cannot take a negative number of values")
         out = self._state.emit(n)[0] if n else np.zeros(0, dtype=complex)
-        self._position += n
         return out.astype(complex, copy=False)
-
-    def next(self) -> complex:
-        return complex(self.take(1)[0])
 
 
 def make_stream(spec, seed: int, replica: int = 0) -> IncrementStream:
@@ -778,51 +760,6 @@ def golden_mean_spec(values=(1.0, -1.0), centered: bool = True) -> MarkovChain:
     """The 2-state chain forbidding the word (b, b), with maximal-entropy weights."""
     return parry_chain(np.array([[1, 1], [1, 0]]), np.asarray(values, dtype=complex),
                        centered=centered)
-
-
-# ---------------------------------------------------------------------------
-# mixing checks
-# ---------------------------------------------------------------------------
-
-
-def window_covariance_mc(spec, gap: int, f, g, window_f: int = 1, window_g: int = 1,
-                         replicas: int = 100_000, seed: int = 0):
-    """Monte Carlo estimate of E(fg) - E(f)E(g) with a standard error.
-
-    ``f`` sees increments [0, window_f); ``g`` sees the window starting
-    ``gap`` steps after the last index ``f`` sees.  Both must accept a
-    (replicas, window) array and return one value per row.  Replica
-    segments are cut from one stream with a dependence-range spacer, so
-    they are exactly independent for finite-range specs.
-    """
-    if gap < 1:
-        raise ValueError("gap must be >= 1")
-    d = spec.dependence_range
-    seg = window_f - 1 + gap + window_g
-    stride = seg + d + 1
-    x = make_stream(spec, seed).take(replicas * stride).reshape(replicas, stride)
-    fv = np.asarray(f(x[:, :window_f]))
-    gv = np.asarray(g(x[:, window_f - 1 + gap : window_f - 1 + gap + window_g]))
-    prod = fv * gv
-    cov = prod.mean() - fv.mean() * gv.mean()
-    centered = (fv - fv.mean()) * (gv - gv.mean())
-    se = float(np.sqrt(np.mean(np.abs(centered - centered.mean()) ** 2) / replicas))
-    return complex(cov), se
-
-
-def mixing_covariance_bound_check(spec, gap: int, f, g, window_f: int = 1, window_g: int = 1,
-                                  replicas: int = 100_000, seed: int = 0) -> bool:
-    """True when the empirical covariance is within 4 standard errors of 0.
-
-    Only meaningful for finite-dependence-range specs at gaps beyond the
-    range, where the strong-mixing coefficient is exactly zero and the
-    covariance bound forces independence; smaller gaps are rejected.
-    """
-    d = spec.dependence_range
-    if gap <= d:
-        raise ValueError(f"gap {gap} is within the dependence range {d}; bound not applicable")
-    cov, se = window_covariance_mc(spec, gap, f, g, window_f, window_g, replicas, seed)
-    return bool(abs(cov) <= 4.0 * se)
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,6 @@ class SpectralMeasure:
         return cls(np.full(grid_size, float(mass)))
 
     @classmethod
-    def from_callable(cls, f, grid_size: int = GRID_SIZE_DEFAULT, atoms=()) -> "SpectralMeasure":
-        x = TWO_PI * np.arange(grid_size) / grid_size
-        return cls(np.asarray(f(x), dtype=float), atoms=tuple(atoms))
-
-    @classmethod
     def singular_half_power(cls, beta0: float, grid_size: int = GRID_SIZE_DEFAULT) -> "SpectralMeasure":
         """Density 1/|e^{ix} - e^{i beta0}|^(1/2) with the singularity tagged.
 
@@ -385,31 +380,22 @@ def empirical_autocovariance(samples, k_max: int, n_blocks: int = 64) -> Covaria
 
 @dataclass
 class VarianceCurve:
-    """Predicted (and optionally Monte Carlo) variance over an (n, beta) grid."""
+    """Predicted variance over an (n, beta) grid."""
 
     ns: np.ndarray
     betas: np.ndarray
     predicted: np.ndarray  # shape (len(ns), len(betas))
-    mc_mean: np.ndarray | None = None
-    mc_se: np.ndarray | None = None
     header: dict = field(default_factory=dict)
 
-    def rows(self):
-        for i, n in enumerate(self.ns):
-            for j, b in enumerate(self.betas):
-                mc = self.mc_mean[i, j] if self.mc_mean is not None else None
-                se = self.mc_se[i, j] if self.mc_se is not None else None
-                yield int(n), float(b), float(self.predicted[i, j]), mc, se
-
     def write_csv(self, path):
+        # the empty mc_mean and mc_se columns keep the file's bytes fixed
         with open(path, "w") as fh:
             for key in sorted(self.header):
                 fh.write(f"# {key}={self.header[key]}\n")
             fh.write("n,beta,predicted,mc_mean,mc_se\n")
-            for n, b, pred, mc, se in self.rows():
-                mc_s = "" if mc is None else repr(float(mc))
-                se_s = "" if se is None else repr(float(se))
-                fh.write(f"{n},{b!r},{pred!r},{mc_s},{se_s}\n")
+            for i, n in enumerate(self.ns):
+                for j, b in enumerate(self.betas):
+                    fh.write(f"{int(n)},{float(b)!r},{float(self.predicted[i, j])!r},,\n")
 
 
 CONVENTION_NOTE = (

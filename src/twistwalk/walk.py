@@ -64,6 +64,9 @@ RAW_CAP_BYTES = 1 << 29
 #: the largest replicas * n_max a run may ask for
 RESOURCE_CAP = 1 << 31
 
+#: ball radii of a run that names none
+ETA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
+
 #: each thread's generators, re-keyed for every batch it runs
 _POOL = threading.local()
 
@@ -140,7 +143,7 @@ class WalkConfig:
     checkpoints: object = "geometric"
     replicas: int = 1
     seed: int = 0
-    eta_grid: tuple = (0.05, 0.1, 0.2, 0.3, 0.5)
+    eta_grid: tuple = ETA_GRID
     dense_counts: bool | None = None  # None: on when n_max <= 4096
     record_raw: bool | None = None  # None: on while within RAW_CAP_BYTES
     ecf_tgrid: np.ndarray = field(init=False, repr=False)  # structured grid of beta
@@ -185,12 +188,6 @@ class WalkConfig:
     def rotation_coordinate(self, n: int) -> float:
         """n*beta mod 2*pi; exact integer arithmetic for rational angles."""
         return self.beta.times(n).value
-
-    def rotation_fraction(self, n: int):
-        """(n*p mod q, q) when beta = 2*pi*p/q is exact, else None."""
-        if self.beta.is_rational:
-            return ((n * self.beta.p) % self.beta.q, self.beta.q)
-        return None
 
 
 @dataclass

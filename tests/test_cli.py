@@ -140,6 +140,33 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--eta-grid", "0.5,0.1"], "eta_grid"),
+        (["--replicas", "1048576", "--n-max", "4096"], "exceeds the cap"),
+    ])
+    def test_config_error_exit_2_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--process", "iid-rademacher", "--beta", "1.0", *argv,
+                   "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoints, dense, sha", [
+        ("dense", True, "c380b58fb42e50fbce585f17448fc964c89fbb075b0ef3bb9421c43a4d65db5d"),
+        ("geometric", None, "05bdd9d5a3d88e778a0ea8042a658d7b969506da3b9961c55f11384de90fe436"),
+    ])
+    def test_checkpoints_flag_manifest(self, tmp_path, checkpoints, dense, sha):
+        # dense per-step tables ride on geometric sample checkpoints
+        out = tmp_path / checkpoints
+        rc = main(["simulate", "--process", "iid-rademacher", "--beta", "1.0", "--n-max", "32",
+                   "--replicas", "20", "--checkpoints", checkpoints, "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["walk"]["checkpoints"] == "geometric"
+        assert manifest["walk"]["dense_counts"] is dense
+        assert manifest["manifest_sha256"] == sha
+
     def test_budget_exceeded_exit_3(self, tmp_path):
         # more replicas than one engine batch, so a zero budget stops midway
         out = tmp_path / "budget"
@@ -207,6 +234,7 @@ class TestExampleCommand:
         rc = main(["example", "sofic-recurrent", flag, "0", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert ">= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_rational_block_example(self, tmp_path, capsys):
         out = tmp_path / "rb"

@@ -5,7 +5,7 @@ import pytest
 
 import twistwalk as tw
 from twistwalk.diagnostics import (
-    ClassifyThresholds,
+    THRESHOLDS,
     SmallBallTable,
     build_report,
     classify,
@@ -367,8 +367,7 @@ class TestClassify:
         growth = {"mean_mid": 1.0, "mean_hi": 2.0, "mean_increment": 1.0, "increment_se": 0.01}
         out = classify(self.mk_c(0.9), self.mk_c(1.0), growth,
                        self.mk_summ("not-summable"), n_max=16)
-        assert out["label"] == "inconclusive"
-        assert out["thresholds"] == ClassifyThresholds().as_dict()
+        assert out == {"label": "inconclusive", "reason": "run too short"}
 
     def test_mixed_evidence_inconclusive(self):
         growth = {"mean_mid": 1.0, "mean_hi": 1.0, "mean_increment": 0.0, "increment_se": 0.01}
@@ -415,6 +414,7 @@ class TestReport:
         assert d["schema_version"] == 1
         assert "exp(-ik beta)" in d["convention"]
         assert d["numeric_error_bound"] < 1e-9
+        assert d["thresholds"] == THRESHOLDS
 
     def test_full_report_transient(self, transient_walk):
         rep = build_report(transient_walk)

@@ -1,17 +1,20 @@
-"""Output bytes pinned across commits: SHA-256 of each example's files.
+"""Output bytes pinned across commits: SHA-256 of each command's files.
 
 Each named example runs at ``--replicas 600 --n-max 1024``; the SHA-256
 of its ``manifest.json``, ``report.json``, ``ensemble.csv`` and
 ``smallball.csv`` must equal ``golden/digests.json``.  The Gaussian
 example, whose 600 replicas make two engine batches, also runs on two
-workers against the same digests.  A change that moves
+workers against the same digests.  ``spectral`` runs for each named
+process at ``--n-max 256``; its ``manifest.json`` and
+``variance_curve.csv`` are pinned the same way.  A change that moves
 output bits on purpose regenerates the file in the same change:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-The Gaussian-spectral family goes through numpy's FFT, so its bits are
-pinned only for the numpy version the digests were made with; under
-another version that example fails and names both versions.
+The Gaussian-spectral family and the golden-mean chain's spectral
+measure go through numpy's FFT, so their bits are pinned only for the
+numpy version the digests were made with; under another version those
+cases fail and name both versions.
 """
 
 import hashlib
@@ -22,17 +25,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistwalk.cli import EXAMPLE_NAMES, main
+from twistwalk.cli import EXAMPLE_NAMES, PROCESS_NAMES, main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 ARGS = ["--replicas", "600", "--n-max", "1024"]
 FILES = ("manifest.json", "report.json", "ensemble.csv", "smallball.csv")
-FFT_EXAMPLES = ("gaussian-transient",)
+SPECTRAL_ARGS = ["--n-max", "256"]
+SPECTRAL_FILES = ("manifest.json", "variance_curve.csv")
+#: examples and named processes whose pinned bits pass through numpy's FFT
+FFT_CASES = ("gaussian-transient", "golden-mean-parry")
+
+
+def _digests(argv: list, out: Path, files: tuple) -> dict:
+    assert main([*argv, "--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
 
 
 def example_digests(name: str, out: Path, workers: int = 1) -> dict:
-    assert main(["example", name, *ARGS, "--workers", str(workers), "--out", str(out)]) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
+    return _digests(["example", name, *ARGS, "--workers", str(workers)], out, FILES)
+
+
+def spectral_digests(name: str, out: Path) -> dict:
+    return _digests(["spectral", "--process", name, *SPECTRAL_ARGS], out, SPECTRAL_FILES)
+
+
+def _golden(name: str) -> dict:
+    golden = json.loads(DIGESTS.read_text())
+    if name in FFT_CASES and golden["numpy"] != np.__version__:
+        pytest.fail(f"{name}'s digests were made with numpy {golden['numpy']}; this is "
+                    f"numpy {np.__version__}, whose FFT may round differently")
+    return golden
 
 
 @pytest.mark.parametrize("name, workers", [
@@ -40,12 +62,16 @@ def example_digests(name: str, out: Path, workers: int = 1) -> dict:
     pytest.param("gaussian-transient", 2, id="gaussian-transient-2-workers"),
 ])
 def test_example_bytes_unchanged(name, workers, tmp_path):
-    golden = json.loads(DIGESTS.read_text())
+    golden = _golden(name)
     assert golden["args"] == ARGS
-    if name in FFT_EXAMPLES and golden["numpy"] != np.__version__:
-        pytest.fail(f"{name}'s digests were made with numpy {golden['numpy']}; this is "
-                    f"numpy {np.__version__}, whose FFT may round differently")
     assert example_digests(name, tmp_path, workers) == golden["examples"][name]
+
+
+@pytest.mark.parametrize("name", PROCESS_NAMES)
+def test_spectral_bytes_unchanged(name, tmp_path):
+    golden = _golden(name)
+    assert golden["spectral_args"] == SPECTRAL_ARGS
+    assert spectral_digests(name, tmp_path) == golden["spectral"][name]
 
 
 if __name__ == "__main__":
@@ -56,6 +82,9 @@ if __name__ == "__main__":
             "numpy": np.__version__,
             "args": ARGS,
             "examples": {n: example_digests(n, Path(tmp) / n) for n in EXAMPLE_NAMES},
+            "spectral_args": SPECTRAL_ARGS,
+            "spectral": {n: spectral_digests(n, Path(tmp) / f"spectral-{n}")
+                         for n in PROCESS_NAMES},
         }
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")

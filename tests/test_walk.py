@@ -69,7 +69,8 @@ class TestConfig:
 
     def test_rotation_fraction(self):
         cfg = WalkConfig(beta=Angle.rational(2, 5), n_max=16)
-        assert cfg.rotation_fraction(3) == (6 % 5, 5)
+        r = cfg.beta.times(3)
+        assert r == Angle.rational(6, 5) and (r.p, r.q) == (1, 5)
         assert cfg.rotation_coordinate(5) == 0.0
 
     def test_raw_mode_sizing_rule(self, monkeypatch):
@@ -366,7 +367,7 @@ class TestRotationCoordinate:
         ens = simulate(IID("rademacher"), cfg)
         for n in cfg.checkpoints:
             assert ens.rotation[n] == Angle.rational(3 * n, 7).value
-            assert cfg.rotation_fraction(n) == ((3 * n) % 7, 7)
+            assert cfg.beta.times(n) == Angle.rational(3 * n, 7)
         assert ens.beta_fraction == (3, 7)
 
     def test_float_coordinate(self):
