@@ -56,6 +56,10 @@ PROCESSES = {
 }
 PROCESS_NAMES = tuple(PROCESSES)
 
+#: the version of the increment-stream bits that simulate and example
+#: manifests record; a manifest without the key came from version 1
+STREAM_VERSION = 2
+
 _BETA_TOKEN = re.compile(r"^2pi\*(-?\d+)/(\d+)$")
 
 
@@ -233,6 +237,7 @@ def cmd_simulate(args) -> int:
     manifest = {
         "schema": 1,
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "command": "simulate",
         "process": spec.to_json(),
         "walk": {
@@ -352,6 +357,7 @@ def example_manifest(name: str, replicas: int | None = None, n_max: int | None =
     return {
         "schema": 1,
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "command": f"example:{name}",
         "process": process(walk).to_json(),
         "walk": walk,

@@ -135,7 +135,7 @@ class ProcessFamily:
         return CovarianceSequence(self._covariances(np.arange(k_max + 1)))
 
     def embedding_args(self, n_max: int):
-        """``(measure, window)`` the engine embeds once per run of ``n_max``
+        """``(measure, window, field)`` the engine embeds once per run of ``n_max``
         steps and hands to every batch state, or None."""
         return None
 
@@ -348,7 +348,7 @@ class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
             raise ValueError(
                 f"gaussian-spectral window {self.window} is shorter than n_max {n_max}"
             )
-        return self.measure, self.window
+        return self.measure, self.window, self.field
 
     def to_json(self):
         m = self.measure
@@ -537,16 +537,20 @@ class _MarkovState:
 class _SpectralEmbedding:
     """Circulant embedding of the density-part covariance of a measure.
 
-    The embedding size starts at the first power of two >= 4 * window and
-    doubles while the circulant eigenvalues dip below -1e-10 times the top
-    eigenvalue (cap 2**22); residual negative eigenvalues are clipped to 0.
+    The embedding size starts at the first power of two >= 2 * window for a
+    real field (the minimal embedding, whose circulant already holds every
+    lag of the window) and >= 4 * window for a complex one; it doubles while
+    the circulant eigenvalues dip below -1e-10 times the top eigenvalue
+    (cap 2**22), and residual negative eigenvalues are clipped to 0.  A real
+    field keeps the size/2 + 1 eigenvalues of its even circulant.
     """
 
     CAP = 2 ** 22
     NEG_TOL = 1e-10
 
-    def __init__(self, measure: SpectralMeasure, window: int):
+    def __init__(self, measure: SpectralMeasure, window: int, field: str):
         self.window = window
+        self.field = field
         density_part = SpectralMeasure(
             measure.density, atoms=(), singularities=measure.singularities
         )
@@ -556,17 +560,20 @@ class _SpectralEmbedding:
             self.size = 0
             self.sqrt_lam = np.zeros(0)
             return
-        size = 2 ** max(3, int(math.ceil(math.log2(4 * window))))
+        factor = 2 if field == "real" else 4
+        size = 2 ** max(3, int(math.ceil(math.log2(factor * window))))
         while True:
             r = covariance_from_measure(density_part, np.arange(size // 2 + 1))
             row = np.empty(size, dtype=complex)
             row[: size // 2 + 1] = r
             # the Nyquist lag pairs with itself, so it must be real for the
-            # circulant to be Hermitian; lag size/2 >= 2*window never enters
+            # circulant to be Hermitian; lag size/2 >= window never enters
             # the realized window, so dropping its imaginary part is free
             row[size // 2] = r[size // 2].real
             row[size // 2 + 1 :] = np.conj(r[1 : size // 2])[::-1]
-            lam = np.fft.fft(row)
+            # a real field's row is real and even, so its spectrum is real
+            # and symmetric: the first size/2 + 1 eigenvalues are all of them
+            lam = np.fft.rfft(row.real) if field == "real" else np.fft.fft(row)
             if np.abs(lam.imag).max() > 1e-8 * max(1.0, np.abs(lam.real).max()):
                 raise SpecError("circulant eigenvalues came out complex; bad measure")
             lam = lam.real
@@ -582,45 +589,54 @@ class _SpectralEmbedding:
         self.size = size
         self.sqrt_lam = np.sqrt(np.maximum(lam, 0.0))
 
-    def sample(self, gens, field: str) -> np.ndarray:
+    def sample(self, gens) -> np.ndarray:
         """One path of ``window`` values per generator.
 
         The density part is synthesized a sub-block of replicas at a time in
-        one reused buffer of about SCRATCH_VALUES complex values; a replica's
+        one reused buffer of about SCRATCH_VALUES noise values; a replica's
         row comes out the same in any sub-block.  Each replica draws its
-        ``size`` complex normals of density noise first (real and imaginary
-        part of each in turn), then one pair per atom, in atom order.
+        density noise first, then one pair of normals per atom, in atom
+        order.  A real field draws ``size`` real normals and computes
+        ``irfft(sqrt(lam) * rfft(noise))``; a complex field draws ``size``
+        complex normals (real and imaginary part of each in turn) and
+        computes ``sqrt(size) * ifft(sqrt(lam) * noise)``.
         """
+        real = self.field == "real"
         B, N = len(gens), self.window
-        out = np.zeros((B, N), dtype=float if field == "real" else complex)
+        out = np.zeros((B, N), dtype=float if real else complex)
         if self.has_density:
             rows = _rows(self.size)
-            buf = np.empty((min(rows, B), self.size), dtype=complex)
+            buf = np.empty((min(rows, B), self.size), dtype=float if real else complex)
             for lo in range(0, B, rows):
                 hi = min(lo + rows, B)
                 noise = buf[: hi - lo]
-                pairs = noise.view(float)  # a row's (re, im) pairs, in draw order
+                draws = noise.view(float)  # a complex row's (re, im) pairs, in draw order
                 for i, g in enumerate(gens[lo:hi]):
-                    g.standard_normal(out=pairs[i])
-                noise /= math.sqrt(2.0)
-                np.multiply(self.sqrt_lam, noise, out=noise)
-                paths = np.fft.ifft(noise, axis=1)
-                paths *= math.sqrt(self.size)
-                if field == "real":
-                    out[lo:hi] += math.sqrt(2.0) * paths[:, :N].real
+                    g.standard_normal(out=draws[i])
+                if real:
+                    spectrum = np.fft.rfft(noise, axis=1)
+                    spectrum *= self.sqrt_lam
+                    # irfft's 1/size is the circulant's own normalization
+                    paths = np.fft.irfft(spectrum, n=self.size, axis=1)
+                    del spectrum
+                    out[lo:hi] = paths[:, :N]
                 else:
+                    noise /= math.sqrt(2.0)
+                    np.multiply(self.sqrt_lam, noise, out=noise)
+                    paths = np.fft.ifft(noise, axis=1)
+                    paths *= math.sqrt(self.size)
                     out[lo:hi] += paths[:, :N]
                 del paths  # before the next sub-block's transform is allocated
         ks = np.arange(N)
         for omega, mass in self.atoms:
             amp = math.sqrt(mass)
-            if field == "real":
+            if real:
                 cos, sin = np.cos(ks * omega), np.sin(ks * omega)
             else:
                 harmonic = np.exp(1j * ks * omega)
             for i, g in enumerate(gens):
                 a, b = g.standard_normal(2)
-                if field == "real":
+                if real:
                     out[i] += amp * (a * cos + b * sin)
                 else:
                     out[i] += amp * ((a + 1j * b) / math.sqrt(2.0)) * harmonic
@@ -630,8 +646,9 @@ class _SpectralEmbedding:
 class _GaussianSpectralState:
     def __init__(self, spec: GaussianSpectral, gens, embedding=None):
         self.spec = spec
-        emb = embedding if embedding is not None else _SpectralEmbedding(spec.measure, spec.window)
-        self.paths = emb.sample(gens, spec.field)
+        if embedding is None:
+            embedding = _SpectralEmbedding(spec.measure, spec.window, spec.field)
+        self.paths = embedding.sample(gens)
         self.pos = 0
 
     def emit(self, count: int) -> np.ndarray:

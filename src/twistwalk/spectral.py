@@ -200,18 +200,38 @@ class SpectralMeasure:
         """The reflection-symmetric average (m(dx) + m(-dx)) / 2.
 
         This is the spectral measure of the real process whose covariance is
-        the real part of this measure's transform.
+        the real part of this measure's transform.  Atoms (and singularities)
+        at one frequency merge into one, so a symmetric measure is a fixed
+        point: symmetrizing it again returns the same components.
         """
         dens = 0.5 * (self.density + np.roll(self.density[::-1], 1))
-        atoms = []
-        for w, mass in self.atoms:
-            atoms.append((w, mass / 2.0))
-            atoms.append((float(np.mod(-w, TWO_PI)), mass / 2.0))
-        sings = []
-        for s in self.singularities:
-            sings.append(HalfPowerSingularity(s.center, s.coeff / 2.0))
-            sings.append(HalfPowerSingularity(-s.center, s.coeff / 2.0))
-        return SpectralMeasure(dens, atoms=tuple(atoms), singularities=tuple(sings))
+        sings = _halves_at_reflections((s.center, s.coeff) for s in self.singularities)
+        return SpectralMeasure(
+            dens,
+            atoms=tuple(_halves_at_reflections(self.atoms)),
+            singularities=tuple(HalfPowerSingularity(c, coeff) for c, coeff in sings),
+        )
+
+
+def _reflect(w: float) -> float:
+    return float(np.mod(-w, TWO_PI))
+
+
+def _halves_at_reflections(parts) -> list:
+    """Half of each (frequency, weight) at its frequency and half at its
+    reflection, summed per frequency in first-seen order.
+
+    2*pi - w rounds for w below pi, so reflecting twice can move w by an
+    ulp; frequencies count as one when their double reflections agree
+    (a double reflection is a fixed point of reflecting twice).
+    """
+    merged = {}
+    for w, weight in parts:
+        for x in (w, _reflect(w)):
+            key = _reflect(_reflect(x))
+            first, total = merged.get(key, (x, 0.0))
+            merged[key] = (first, total + weight / 2.0)
+    return list(merged.values())
 
 
 def covariance_from_measure(m: SpectralMeasure, k) -> complex | np.ndarray:

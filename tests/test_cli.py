@@ -153,8 +153,12 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("checkpoints, dense, sha", [
-        ("dense", True, "c380b58fb42e50fbce585f17448fc964c89fbb075b0ef3bb9421c43a4d65db5d"),
-        ("geometric", None, "05bdd9d5a3d88e778a0ea8042a658d7b969506da3b9961c55f11384de90fe436"),
+        pytest.param("dense", True,
+                     "78234f1028a74cde0fabb95aabcf6a6bb2b63743449523748e1f2908ae10096f",
+                     id="dense"),
+        pytest.param("geometric", None,
+                     "82c1d6a62097f99d55b45b24d9129354570ba404ec19b50acd4f5a030dd9ab20",
+                     id="geometric"),
     ])
     def test_checkpoints_flag_manifest(self, tmp_path, checkpoints, dense, sha):
         # dense per-step tables ride on geometric sample checkpoints
@@ -165,6 +169,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["walk"]["checkpoints"] == "geometric"
         assert manifest["walk"]["dense_counts"] is dense
+        assert manifest["stream_version"] == 2
         assert manifest["manifest_sha256"] == sha
 
     def test_budget_exceeded_exit_3(self, tmp_path):

@@ -30,25 +30,26 @@ from twistwalk.processes import (
 from twistwalk.spectral import SpectralMeasure
 
 
-def _oracle_sample(emb, gens, field):
+def _oracle_sample(emb, gens):
+    real = emb.field == "real"
     B, N = len(gens), emb.window
-    out = np.zeros((B, N), dtype=float if field == "real" else complex)
-    if emb.has_density:
+    out = np.zeros((B, N), dtype=float if real else complex)
+    if emb.has_density and real:
+        noise = np.stack([g.standard_normal(emb.size) for g in gens])
+        spectrum = emb.sqrt_lam * np.fft.rfft(noise, axis=1)
+        out[:] = np.fft.irfft(spectrum, n=emb.size, axis=1)[:, :N]
+    elif emb.has_density:
         noise = np.empty((B, emb.size), dtype=complex)
         for i, g in enumerate(gens):
             z = g.standard_normal((emb.size, 2))
             noise[i] = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        paths = np.fft.ifft(emb.sqrt_lam * noise, axis=1) * math.sqrt(emb.size)
-        if field == "real":
-            out += math.sqrt(2.0) * paths[:, :N].real
-        else:
-            out += paths[:, :N]
+        out += np.fft.ifft(emb.sqrt_lam * noise, axis=1)[:, :N] * math.sqrt(emb.size)
     ks = np.arange(N)
     for omega, mass in emb.atoms:
         amp = math.sqrt(mass)
         for i, g in enumerate(gens):
             a, b = g.standard_normal(2)
-            if field == "real":
+            if real:
                 out[i] += amp * (a * np.cos(ks * omega) + b * np.sin(ks * omega))
             else:
                 out[i] += amp * ((a + 1j * b) / math.sqrt(2.0)) * np.exp(1j * ks * omega)
@@ -104,7 +105,7 @@ _EMBEDDINGS = {}
 
 def _embedding(name, spec):
     if name not in _EMBEDDINGS:
-        _EMBEDDINGS[name] = _SpectralEmbedding(spec.measure, spec.window)
+        _EMBEDDINGS[name] = _SpectralEmbedding(spec.measure, spec.window, spec.field)
     return _EMBEDDINGS[name]
 
 
@@ -118,7 +119,7 @@ def _emits_and_oracle(name, B):
     if isinstance(spec, GaussianSpectral):
         emb = _embedding(name, spec)
         state = spec.batch_state(_gens(B), emb)
-        whole = _oracle_sample(emb, _gens(B), spec.field)
+        whole = _oracle_sample(emb, _gens(B))
         ends = np.cumsum((0,) + EMITS)
         return ([state.emit(n) for n in EMITS],
                 [whole[:, a:b] for a, b in zip(ends[:-1], ends[1:])])
@@ -152,8 +153,8 @@ def test_block_size_never_changes_a_bit(name, rows, monkeypatch):
     spec = SPECS[name]()
     if isinstance(spec, GaussianSpectral):
         emb = _embedding(name, spec)
-        got = emb.sample(_gens(7), spec.field)
-        assert np.array_equal(got, _oracle_sample(emb, _gens(7), spec.field))
+        got = emb.sample(_gens(7))
+        assert np.array_equal(got, _oracle_sample(emb, _gens(7)))
     else:
         oracle = {MovingAverage: _oracle_ma_emit, Rotation: _oracle_rotation_emit}[type(spec)]
         got = spec.batch_state(_gens(7)).emit(130)
@@ -203,12 +204,12 @@ def test_emit_holds_output_inputs_and_one_block(name):
 
 def test_sample_holds_output_and_one_sub_block():
     spec = GaussianSpectral(SpectralMeasure.singular_half_power(2.0), 1024)
-    emb = _SpectralEmbedding(spec.measure, spec.window)
+    emb = _SpectralEmbedding(spec.measure, spec.window, spec.field)
     gens = _gens(512)
-    out, peak = _traced_peak(lambda: emb.sample(gens, "real"))
+    out, peak = _traced_peak(lambda: emb.sample(gens))
     rows = processes._rows(emb.size)
-    # the sub-block's noise, the transform numpy returns for it and the real
-    # part added into the output
-    sub_block = 2 * rows * emb.size * 16 + rows * spec.window * 8
+    # the sub-block's real noise, its half spectrum (size/2 + 1 complex
+    # values a row) and the inverse transform numpy returns
+    sub_block = 3 * rows * emb.size * 8
     assert peak <= out.nbytes + sub_block + SLACK, (
         f"peak {peak / 2**20:.2f} MiB for an output of {out.nbytes / 2**20:.2f} MiB")

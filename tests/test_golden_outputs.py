@@ -1,10 +1,12 @@
 """Output bytes pinned across commits: SHA-256 of each command's files.
 
-Each named example runs at ``--replicas 600 --n-max 1024``; the SHA-256
-of its ``manifest.json``, ``report.json``, ``ensemble.csv`` and
-``smallball.csv`` must equal ``golden/digests.json``.  The Gaussian
-example, whose 600 replicas make two engine batches, also runs on two
-workers against the same digests.  ``spectral`` runs for each named
+Each named example runs at ``--replicas 600 --n-max 1024``; its exit
+code and the SHA-256 of its ``manifest.json``, ``report.json``,
+``ensemble.csv`` and ``smallball.csv`` must equal ``golden/digests.json``.
+The exit code is pinned, not required to be 0: at this size an example's
+own checks are noise (``gaussian-transient`` exits 1 on its label).  The
+Gaussian example, whose 600 replicas make two engine batches, also runs
+on two workers against the same digests.  ``spectral`` runs for each named
 process at ``--n-max 256``; its ``manifest.json`` and
 ``variance_curve.csv`` are pinned the same way.  A change that moves
 output bits on purpose regenerates the file in the same change:
@@ -37,8 +39,9 @@ FFT_CASES = ("gaussian-transient", "golden-mean-parry")
 
 
 def _digests(argv: list, out: Path, files: tuple) -> dict:
-    assert main([*argv, "--out", str(out)]) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+    code = main([*argv, "--out", str(out)])
+    return {"exit_code": code,
+            **{f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}}
 
 
 def example_digests(name: str, out: Path, workers: int = 1) -> dict:

@@ -14,6 +14,7 @@ from twistwalk.processes import (
     SpecError,
     StreamExhausted,
     _batch_state,
+    _SpectralEmbedding,
     covariance,
     golden_mean_spec,
     make_generator,
@@ -291,6 +292,35 @@ class TestGaussianSpectral:
         x = make_stream(spec, 3).take(16)
         assert np.all(x.imag == 0)
 
+    @pytest.mark.parametrize("name, window", [
+        ("singular", 64), ("singular", 1024), ("singular", 8192), ("flat-atom", 400),
+    ])
+    def test_real_embedding_is_minimal_and_exact(self, name, window):
+        measure = (SpectralMeasure.singular_half_power(2.0) if name == "singular"
+                   else SpectralMeasure(np.full(64, 0.5), atoms=((0.7, 1.0),)))
+        spec = GaussianSpectral(measure, window, field="real")
+        emb = _SpectralEmbedding(*spec.embedding_args(window))
+        assert emb.size == 2 ** math.ceil(math.log2(2 * window))
+        # the circulant's first row, back from its eigenvalues, is the
+        # density part's covariance at every lag of the window; the lags run
+        # to size/2 as in the embedding, because covariance_from_measure
+        # refines its grid by the largest lag asked for
+        m = spec.measure
+        r = tw.covariance_from_measure(
+            SpectralMeasure(m.density, singularities=m.singularities),
+            np.arange(emb.size // 2 + 1))[:window]
+        row = np.fft.irfft(emb.sqrt_lam ** 2, n=emb.size)
+        assert np.abs(row[:window] - r.real).max() <= 1e-12 * r[0].real
+
+    def test_doubling_and_complex_start_size(self):
+        # a bump of width sqrt(14)/64: its covariance at lag 64 is about
+        # e^-7 of r[0], enough to make the minimal circulant indefinite
+        x = TWO_PI * np.arange(1 << 12) / (1 << 12)
+        bump = SpectralMeasure(np.exp(-((x - math.pi) ** 2) * 64 ** 2 / 28))
+        assert _SpectralEmbedding(bump, 64, "real").size == 256
+        singular = SpectralMeasure.singular_half_power(2.0)
+        assert _SpectralEmbedding(singular, 1024, "complex").size == 4096
+
 
 class TestMixing:
     @staticmethod
@@ -331,12 +361,7 @@ def _real_gaussian_with_atom():
 
 
 class TestJsonWireFormat:
-    @pytest.mark.parametrize("name", [
-        *family_specs(),
-        pytest.param("gauss-real-atom", marks=pytest.mark.xfail(
-            strict=True, reason="a real-field spec symmetrizes its measure again on every "
-                                "parse, so atoms split in two and the stream moves")),
-    ])
+    @pytest.mark.parametrize("name", [*family_specs(), "gauss-real-atom"])
     def test_roundtrip(self, name):
         spec = family_specs()[name] if name in family_specs() else _real_gaussian_with_atom()
         doc = spec.to_json()
