@@ -21,6 +21,7 @@ from .group import (
 )
 from .processes import (
     IID,
+    ConfigError,
     CovarianceSequence,
     GaussianSpectral,
     IncrementStream,

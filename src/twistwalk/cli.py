@@ -6,8 +6,11 @@ into every output file, so a manifest plus the package version pins all
 outputs byte-for-byte; the worker count is a scheduling knob and never
 appears in outputs.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 wall-clock budget
-exceeded (partial outputs are written and flagged).
+Exit codes: 0 success, 1 a named example's check failed, 2 configuration
+or usage error (``ConfigError`` and its ``SpecError``, or
+``ResourceCapError``), 3 wall-clock budget exceeded (partial outputs are
+written and flagged).  Any other exception is an internal fault: it is not
+caught, so it ends the process with a traceback.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .diagnostics import build_report
 from .group import Angle
 from .processes import (
     IID,
+    ConfigError,
     GaussianSpectral,
     Rotation,
-    SpecError,
     golden_mean_spec,
     make_stream,
     spec_from_json,
@@ -58,22 +61,18 @@ PROCESS_NAMES = tuple(PROCESSES)
 
 #: the version of the increment-stream bits that simulate and example
 #: manifests record; a manifest without the key came from version 1
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _BETA_TOKEN = re.compile(r"^2pi\*(-?\d+)/(\d+)$")
-
-
-class ConfigError(ValueError):
-    """Bad command-line or manifest input (exit code 2)."""
 
 
 def parse_beta(token: str) -> Angle:
     """Float radians, or the exact token ``2pi*p/q``."""
     token = token.strip()
     m = _BETA_TOKEN.match(token)
-    if m:
-        return Angle.rational(int(m.group(1)), int(m.group(2)))
     try:
+        if m:
+            return Angle.rational(int(m.group(1)), int(m.group(2)))
         return Angle(float(token))
     except ValueError as exc:
         raise ConfigError(f"cannot parse angle {token!r}: use a float or 2pi*p/q") from exc
@@ -91,7 +90,10 @@ def build_process(name_or_path: str, field: str = "real", n_max: int | None = No
         return PROCESSES[name_or_path]()
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if isinstance(doc, dict) and doc.get("kind") == "gaussian-spectral":
             doc.setdefault("field", field)
             if "window" not in doc and n_max is not None:
@@ -225,10 +227,18 @@ def blocked_identity_check(spec, beta: Angle, seed: int, n_max: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _float_list(arg: str, flag: str) -> tuple:
+    """A comma-separated list of floats from the command line."""
+    try:
+        return tuple(float(v) for v in arg.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _eta_grid(arg: str | None):
     if not arg:
         return ETA_GRID
-    return tuple(float(v) for v in arg.split(","))
+    return _float_list(arg, "--eta-grid")
 
 
 def cmd_simulate(args) -> int:
@@ -266,10 +276,8 @@ def cmd_spectral(args) -> int:
     if args.n_max < 2:
         raise ConfigError(f"--n-max must be >= 2, got {args.n_max}")
     spec = build_process(args.process, field=args.field, n_max=args.n_max)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.betas:
-        betas = np.array([float(b) for b in args.betas.split(",")])
+        betas = np.array(_float_list(args.betas, "--betas"))
     else:
         betas = np.linspace(0.0, 2 * math.pi, 9)[:-1] + 0.37
     ns = 2 ** np.arange(1, int(math.log2(args.n_max)) + 1)
@@ -297,6 +305,8 @@ def cmd_spectral(args) -> int:
         "manifest_sha256": sha,
         "max_rel_identity_gap": repr(float(rel.max())),
     })
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "manifest.json", {**manifest, "manifest_sha256": sha})
     curve.write_csv(out_dir / "variance_curve.csv")
     print(f"variance curve over {ns.size} n x {betas.size} beta; "
@@ -463,7 +473,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SpecError, ResourceCapError, ValueError) as exc:
+    except (ConfigError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

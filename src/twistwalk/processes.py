@@ -45,6 +45,7 @@ from .spectral import (
     GRID_SIZE_DEFAULT,
     CovarianceSequence,
     HalfPowerSingularity,
+    SpectralError,
     SpectralMeasure,
     covariance_from_measure,
 )
@@ -59,7 +60,12 @@ SCRATCH_VALUES = 1 << 17
 IID_LAWS = ("complex-gaussian", "rademacher", "uniform-circle")
 
 
-class SpecError(ValueError):
+class ConfigError(ValueError):
+    """Bad user input: a process spec, a walk setting, a manifest or a
+    command-line value.  The command line reports it with exit code 2."""
+
+
+class SpecError(ConfigError):
     """Invalid process specification."""
 
 
@@ -330,7 +336,7 @@ class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
             self.measure = self.measure.symmetrized()
 
     def _covariances(self, ks):
-        r = covariance_from_measure(self.measure, ks)
+        r = _measure_covariances(self.measure, ks)
         if self.field == "real":
             if np.abs(r.imag).max() > 1e-9 * max(1.0, abs(r[0])):
                 raise SpecError("real-field measure produced complex covariances")
@@ -345,7 +351,7 @@ class GaussianSpectral(ProcessFamily, kind="gaussian-spectral"):
 
     def embedding_args(self, n_max):
         if self.window < n_max:
-            raise ValueError(
+            raise ConfigError(
                 f"gaussian-spectral window {self.window} is shorter than n_max {n_max}"
             )
         return self.measure, self.window, self.field
@@ -534,6 +540,16 @@ class _MarkovState:
         return out.T
 
 
+def _measure_covariances(measure: SpectralMeasure, ks) -> np.ndarray:
+    """``covariance_from_measure``, whose one failure, a lag past the range
+    the measure's grid resolves, means the spec's window or ``n_max`` is too
+    long: it is raised as a SpecError."""
+    try:
+        return covariance_from_measure(measure, ks)
+    except SpectralError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 class _SpectralEmbedding:
     """Circulant embedding of the density-part covariance of a measure.
 
@@ -563,7 +579,7 @@ class _SpectralEmbedding:
         factor = 2 if field == "real" else 4
         size = 2 ** max(3, int(math.ceil(math.log2(factor * window))))
         while True:
-            r = covariance_from_measure(density_part, np.arange(size // 2 + 1))
+            r = _measure_covariances(density_part, np.arange(size // 2 + 1))
             row = np.empty(size, dtype=complex)
             row[: size // 2 + 1] = r
             # the Nyquist lag pairs with itself, so it must be real for the
@@ -850,4 +866,7 @@ def spec_from_json(doc) -> ProcessFamily:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in ProcessFamily._families:
         raise SpecError(f"unknown process kind {kind!r}")
-    return ProcessFamily._families[kind].from_json(doc)
+    try:
+        return ProcessFamily._families[kind].from_json(doc)
+    except SpectralError as exc:  # a measure built from the document's values
+        raise SpecError(f"{kind} spec: {exc}") from exc

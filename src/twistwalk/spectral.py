@@ -18,7 +18,10 @@ plus point masses, plus optional tagged half-power singularities
 ``coeff * dist(x, center)^(-1/2)``.  Grid quadrature badly underestimates
 the mass near an integrable singularity, which is exactly the mass that
 drives super-diffusive variance growth, so the singular component is
-integrated in closed form (Fresnel integrals) instead of on the grid.
+integrated exactly instead of on the grid.  Its Fourier coefficients are
+only ever read at integer lags k, where the Fresnel integral they reduce to
+is elementary (sin(pi k) = 0, cos(pi k) = (-1)^k); see
+``_half_power_cosine_integral``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import fresnel
 
 TWO_PI = 2.0 * math.pi
 
 GRID_SIZE_DEFAULT = 2 ** 14
 _REFINE_CAP = 2 ** 20
+
+#: 64-point Gauss-Legendre rule carried to v in [0, sqrt(pi)], kept as the
+#: squared nodes u = v^2 and doubled weights:
+#: sum(_GL_WEIGHTS * cos(k * _GL_U)) = 2 int_0^sqrt(pi) cos(k v^2) dv
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_GL_U = (0.5 * math.sqrt(math.pi) * (_GL_X + 1.0)) ** 2
+_GL_WEIGHTS = math.sqrt(math.pi) * _GL_W
+#: the first lag that takes the asymptotic tail series, and its length
+_TAIL_FROM = 16
+_TAIL_TERMS = 16
 
 
 class SpectralError(ValueError):
@@ -77,22 +89,51 @@ class HalfPowerSingularity:
             raise SpectralError(f"singularity coefficient must be >= 0, got {self.coeff!r}")
 
 
-def _singular_transform(k, sing: HalfPowerSingularity) -> np.ndarray:
-    """(1/2pi) * integral dist(x, center)^(-1/2) e^{ikx} dx, exactly.
+def _half_power_cosine_integral(k: np.ndarray) -> np.ndarray:
+    """I(k) = int_0^pi u^(-1/2) cos(k u) du at integer lags k >= 1.
 
-    Splitting at the antipode and substituting u = v^2 reduces the integral
-    to a Fresnel cosine integral:
-        int_0^pi u^(-1/2) cos(k u) du = 2 sqrt(pi/(2k)) C(sqrt(2k)).
+    With u = v^2, I(k) = 2 int_0^sqrt(pi) cos(k v^2) dv, a Fresnel cosine
+    integral at an argument where it is elementary.  Below ``_TAIL_FROM`` the
+    64-point Gauss-Legendre rule integrates it.  Above, I(k) = sqrt(pi/(2k))
+    minus the tail int_pi^inf; integrating the tail by parts, every sin(k pi)
+    term vanishes and cos(k pi) = (-1)^k, which leaves the asymptotic series
+    (-1)^k sum_m t_m with t_0 = pi^(-3/2) / (2 k^2) and
+    t_{m+1} = -t_m (4m+3)(4m+5) / (4 (k pi)^2), cut after ``_TAIL_TERMS``
+    terms.  Both branches are within 1e-14 relative of a 40-digit reference
+    at every lag the tests check (k = 1..200 and powers of two to 2^20).
+    """
+    k = np.asarray(k, dtype=float)
+    out = np.empty(k.shape)
+    low = k < _TAIL_FROM
+    out[low] = np.cos(k[low, None] * _GL_U) @ _GL_WEIGHTS
+    kh = k[~low]
+    t = math.pi ** -1.5 / (2.0 * kh * kh)
+    tail = t.copy()
+    q = 4.0 * (math.pi * kh) ** 2
+    for m in range(_TAIL_TERMS - 1):
+        t = -t * ((4 * m + 3) * (4 * m + 5)) / q
+        tail += t
+    sign = 1.0 - 2.0 * (kh % 2.0)
+    out[~low] = np.sqrt(math.pi / (2.0 * kh)) - sign * tail
+    return out
+
+
+def _singular_transform(k, sing: HalfPowerSingularity) -> np.ndarray:
+    """(1/2pi) * integral dist(x, center)^(-1/2) e^{ikx} dx at integer lags.
+
+    Splitting at the antipode gives e^{ik center} I(|k|) / pi with
+    I(k) = int_0^pi u^(-1/2) cos(k u) du (``_half_power_cosine_integral``);
+    k = 0 is the total mass 2 / sqrt(pi) exactly, and k < 0 the conjugate
+    of |k|.
     """
     ks = np.asarray(k)
     out = np.empty(ks.shape, dtype=complex)
     zero = ks == 0
     out[zero] = 2.0 / math.sqrt(math.pi)
-    kk = np.abs(ks[~zero]).astype(float)
+    kk = ks[~zero]
     if kk.size:
-        _, C = fresnel(np.sqrt(2.0 * kk))
-        mag = np.sqrt(2.0 / (np.pi * kk)) * C
-        out[~zero] = mag * np.exp(1j * ks[~zero] * sing.center)
+        mag = _half_power_cosine_integral(np.abs(kk)) / math.pi
+        out[~zero] = mag * np.exp(1j * kk * sing.center)
     return sing.coeff * out
 
 

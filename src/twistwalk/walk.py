@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import Angle, as_angle
-from .processes import _SpectralEmbedding, _batch_state, make_generator
+from .processes import ConfigError, _SpectralEmbedding, _batch_state, make_generator
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,23 +155,23 @@ class WalkConfig:
         self.beta = as_angle(self.beta)
         self.n_max = int(self.n_max)
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise ConfigError("n_max must be >= 1")
         if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ConfigError("replicas must be >= 1")
         if isinstance(self.checkpoints, str):
             if self.checkpoints != "geometric":
-                raise ValueError(f"unknown checkpoint rule {self.checkpoints!r}")
+                raise ConfigError(f"unknown checkpoint rule {self.checkpoints!r}")
             self.checkpoints = geometric_checkpoints(self.n_max)
         else:
             cps = tuple(sorted({int(c) for c in self.checkpoints}))
             if not cps:
-                raise ValueError("checkpoint list must be nonempty")
+                raise ConfigError("checkpoint list must be nonempty")
             if cps[0] < 1 or cps[-1] > self.n_max:
-                raise ValueError("checkpoints must lie in [1, n_max]")
+                raise ConfigError("checkpoints must lie in [1, n_max]")
             self.checkpoints = cps
         etas = tuple(float(e) for e in self.eta_grid)
         if not etas or any(e <= 0 for e in etas) or list(etas) != sorted(etas):
-            raise ValueError("eta_grid must be a sorted tuple of positive radii")
+            raise ConfigError("eta_grid must be a sorted tuple of positive radii")
         self.eta_grid = etas
         if self.dense_counts is None:
             self.dense_counts = self.n_max <= 4096
@@ -183,7 +183,7 @@ class WalkConfig:
             self.record_raw = need <= RAW_CAP_BYTES
         self.ecf_tgrid = structured_ecf_tgrid(self.beta.value)
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
 
     def rotation_coordinate(self, n: int) -> float:
         """n*beta mod 2*pi; exact integer arithmetic for rational angles."""
@@ -305,11 +305,15 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
     ci_mid = cfg.checkpoints.index(mid_checkpoint(cfg.checkpoints))
     ci_last = len(cfg.checkpoints) - 1
 
-    S = np.zeros(B, dtype=complex)
+    # a lone replica steps on two identical lanes: numpy rounds arithmetic
+    # on a one-element array like a scalar, which would give it other bits
+    # than it gets in any larger batch
+    W = max(B, 2)
+    S = np.zeros(W, dtype=complex)
     returns = np.zeros((eta2.size, B), dtype=np.int32)  # one row per radius
     # positions are written step by step into a time-major block; the ball
     # counts then run once per block instead of once per step
-    block = np.empty((min(BLOCK_STEPS, max(1, BLOCK_VALUES // B)), B), dtype=complex)
+    block = np.empty((min(BLOCK_STEPS, max(1, BLOCK_VALUES // W)), W), dtype=complex)
     if acc.ecf_sums is not None:
         # phase buffers reused at every checkpoint: fresh multi-megabyte
         # temporaries each time cost more in page faults than the exp itself
@@ -333,6 +337,7 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
                 S *= c
                 S += X[t + i]
                 P[i] = S
+            P = P[:, :B]
             a2 = P.real * P.real + P.imag * P.imag
             ns = np.arange(n + 1, n + L + 1, dtype=float)
             for e, r2 in enumerate(eta2):
@@ -347,7 +352,7 @@ def _run_batch(spec, cfg: WalkConfig, lo: int, hi: int, embedding) -> _BatchAccu
             if n != checkpoints[ci]:
                 continue
             a2 = a2[-1]
-            scaled = S / math.sqrt(n)
+            scaled = (S / math.sqrt(n))[:B]
             sa2 = a2 / n
             acc.scaled_counts[ci] += (sa2[:, None] <= eta2[None, :]).sum(axis=0)
             acc.unscaled_counts[ci] += (a2[:, None] <= eta2[None, :]).sum(axis=0)

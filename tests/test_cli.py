@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistwalk
+from twistwalk import cli
 from twistwalk.cli import (
     ConfigError,
     beta_token,
@@ -11,6 +17,18 @@ from twistwalk.cli import (
     manifest_hash,
     parse_beta,
 )
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is the tests' reference
+    src = str(Path(twistwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, twistwalk.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestBetaParsing:
@@ -130,6 +148,11 @@ class TestSimulateCommand:
         ({"kind": "iid", "variance": "2"}, "'variance'"),
         ({"kind": "ma", "coeffs": 5}, "'coeffs'"),
         ({"kind": "rotation", "alpha": "x", "fourier": [[1, 1.0]]}, "'alpha'"),
+        ({"kind": "gaussian-spectral", "density": [1.0, -1.0, 1.0, 1.0], "window": 16},
+         "nonnegative"),
+        ({"kind": "gaussian-spectral", "density": "flat", "window": 8}, "shorter than n_max"),
+        ({"kind": "gaussian-spectral", "density": "flat", "window": 600000},
+         "exceeds resolvable range"),
     ])
     def test_malformed_spec_file_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "bad.json"
@@ -140,9 +163,29 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    def test_spec_file_json_syntax_error_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "iid",')
+        rc = main(["simulate", "--process", str(path), "--beta", "1.0", "--n-max", "16",
+                   "--replicas", "4", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON")
+
+    def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
+        # exit 2 is for user input; a fault inside the run surfaces as itself
+        def broken(spec, cfg):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "simulate", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["simulate", "--process", "iid-rademacher", "--beta", "1.0", "--n-max", "16",
+                  "--replicas", "4", "--out", str(tmp_path / "x")])
+
     @pytest.mark.parametrize("argv, message", [
         (["--eta-grid", "0.5,0.1"], "eta_grid"),
         (["--replicas", "1048576", "--n-max", "4096"], "exceeds the cap"),
+        (["--eta-grid", "0.5,x"], "--eta-grid"),
+        (["--beta", "2pi*1/0"], "2pi*1/0"),
     ])
     def test_config_error_exit_2_leaves_no_directory(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
@@ -154,10 +197,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("checkpoints, dense, sha", [
         pytest.param("dense", True,
-                     "78234f1028a74cde0fabb95aabcf6a6bb2b63743449523748e1f2908ae10096f",
+                     "2c897ae3d0f9d2923b3ffd196ffb9733bc71956e82e8118eb29ad4a35684e436",
                      id="dense"),
         pytest.param("geometric", None,
-                     "82c1d6a62097f99d55b45b24d9129354570ba404ec19b50acd4f5a030dd9ab20",
+                     "9bad62e64cfb58e3ae7b938c258cbee1a4455686bef037534e9346290e870d67",
                      id="geometric"),
     ])
     def test_checkpoints_flag_manifest(self, tmp_path, checkpoints, dense, sha):
@@ -169,7 +212,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["walk"]["checkpoints"] == "geometric"
         assert manifest["walk"]["dense_counts"] is dense
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
         assert manifest["manifest_sha256"] == sha
 
     def test_budget_exceeded_exit_3(self, tmp_path):
@@ -225,6 +268,14 @@ class TestSpectralCommand:
                    "--out", str(out)])
         assert rc == 2
         assert "--n-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_betas_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "spec"
+        rc = main(["spectral", "--process", "iid-rademacher", "--betas", "1,x",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --betas")
         assert not out.exists()
 
 

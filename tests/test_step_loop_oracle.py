@@ -84,7 +84,7 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
     acc = walk._BatchAccumulator(cfg, B)
     eta2 = np.asarray(cfg.eta_grid, dtype=float) ** 2
     c = complex(math.cos(cfg.beta.value), math.sin(cfg.beta.value))
-    S = np.zeros(B, dtype=complex)
+    S = np.zeros(max(B, 2), dtype=complex)  # a lone replica steps on two lanes
     returns = np.zeros((B, eta2.size), dtype=np.int32)
     cps = {n: ci for ci, n in enumerate(cfg.checkpoints)}
     n_mid = walk.mid_checkpoint(cfg.checkpoints)
@@ -97,7 +97,7 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
             S *= c
             S += X[:, t]
             n += 1
-            a2 = S.real * S.real + S.imag * S.imag
+            a2 = (S.real * S.real + S.imag * S.imag)[:B]
             hits = a2[:, None] <= eta2[None, :]
             returns += hits
             if acc.dense_unscaled is not None:
@@ -105,7 +105,7 @@ def _oracle_run_batch(spec, cfg, lo, hi, embedding):
                 acc.dense_scaled[n] += (a2[:, None] <= n * eta2[None, :]).sum(axis=0)
             if n in cps:
                 ci = cps[n]
-                scaled = S / math.sqrt(n)
+                scaled = (S / math.sqrt(n))[:B]
                 sa2 = a2 / n
                 acc.scaled_counts[ci] += (sa2[:, None] <= eta2[None, :]).sum(axis=0)
                 acc.unscaled_counts[ci] += hits.sum(axis=0)
@@ -159,6 +159,37 @@ def test_engine_matches_per_step_oracle(family, case, monkeypatch):
             assert list(got) == list(want), name
             for n in want:
                 _assert_same(got[n], want[n])
+
+
+# a batch plan only schedules replicas.  Samples, counts, dense tables and
+# maxima are bit-identical for every plan; moment and characteristic-function
+# sums are added up batch by batch, so their last bits follow the plan
+PLAN_EXACT_FIELDS = ("samples", "scaled_counts", "unscaled_counts", "return_count_sums",
+                     "max_abs", "dense_scaled", "dense_unscaled", "return_increment_sq")
+PLAN_SUM_FIELDS = ("moment_sums", "ecf_sums")
+
+
+@pytest.mark.parametrize("record_raw", [True, False], ids=["raw", "streaming"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_batch_plan_never_changes_bits(family, record_raw):
+    kw = dict(beta=1.3, n_max=300, replicas=7, seed=9, dense_counts=True, record_raw=record_raw)
+    spec = FAMILIES[family](kw["n_max"])
+    ref = simulate(spec, WalkConfig(**kw, batch_size=7))
+    for batch_size in (1, 2, 3, 7):
+        for workers in (1, 2):
+            ens = simulate(spec, WalkConfig(**kw, batch_size=batch_size, workers=workers))
+            for name in PLAN_EXACT_FIELDS + PLAN_SUM_FIELDS:
+                got, want = getattr(ens, name), getattr(ref, name)
+                assert (got is None) == (want is None), name
+                if want is None:
+                    continue
+                if not isinstance(want, dict):
+                    got, want = {0: got}, {0: want}
+                for n in want:
+                    if name in PLAN_EXACT_FIELDS:
+                        _assert_same(got[n], want[n])
+                    else:
+                        np.testing.assert_allclose(got[n], want[n], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
